@@ -5,18 +5,24 @@ sqrt(1 - e) about e = 0, and the right-boundary jets that seed the
 solver.
 """
 
+import numpy as np
+
 from edgedist import jet, painleve
-from edgedist.jet import JetSeries
 
 
 def main():
-    a = JetSeries([1.0, 2.0, 3.0])
-    b = JetSeries([2.0, -1.0, 0.5])
-    print("a       =", a.coeffs)
-    print("b       =", b.coeffs)
-    print("a * b   =", (a * b).coeffs)
-    print("exp(a)  =", jet.jet_exp(a).coeffs)
-    print("sqrt(b) =", jet.jet_sqrt(b).coeffs)
+    a = np.array([1.0, 2.0, 3.0])
+    b = np.array([2.0, -1.0, 0.5])
+    print("a       =", a)
+    print("b       =", b)
+    print("a * b   =", jet.jet_mul(a, b))
+    print("exp(a)  =", jet.jet_exp(a))
+    print("sqrt(b) =", jet.jet_sqrt(b))
+
+    # a jet of shape (M+1, n) is n jets at once, one per column
+    grid = np.array([[1.0, 4.0, 9.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+    print("sqrt of three jets, one per column:")
+    print(jet.jet_sqrt(grid))
 
     print("\ncoefficients a_j of sqrt(1 - e), two derivations:")
     by_jet = jet.aj_sequence(8, method="jet")
@@ -28,8 +34,8 @@ def main():
 
     print("\nright-boundary jets q_k(6) = binom(1/2, k) Ai(6):")
     qj, qpj = painleve.boundary_jet(6.0)
-    print("  q  jet:", ["%.6e" % c for c in qj.coeffs])
-    print("  q' jet:", ["%.6e" % c for c in qpj.coeffs])
+    print("  q  jet:", ["%.6e" % c for c in qj])
+    print("  q' jet:", ["%.6e" % c for c in qpj])
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ def main():
     print("D2(s) = det(I - K_Ai) on L2(s, inf):")
     print("  s     Painleve            Nystrom             |diff|")
     for s in (-6.0, -4.0, -2.0, 0.0, 2.0):
-        a = math.exp(-sol.jet_at(s).I.coeffs[0])
+        a = math.exp(-sol.jet_at(s).I[0])
         b = oracle.nystrom_d2(s)
         print("%5.1f   %.15f   %.15f   %.2e" % (s, a, b, abs(a - b)))
 
@@ -30,8 +30,8 @@ def main():
     print("\nD4(s) via the 2x2 block kernel (slower):")
     for s in (-2.0, 0.0):
         bundle = sol.jet_at(s)
-        a = math.exp(-bundle.I.coeffs[0]) \
-            * math.cosh(bundle.J.coeffs[0] / 2.0) ** 2
+        a = math.exp(-bundle.I[0]) \
+            * math.cosh(bundle.J[0] / 2.0) ** 2
         b = oracle.nystrom_d4(s)
         print("%5.1f   %.15f   %.15f   %.2e" % (s, a, b, abs(a - b)))
 

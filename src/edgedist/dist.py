@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy.integrate import simpson
 
-from .jet import JetSeries, jet_compose, jet_exp, jet_recip, jet_sqrt
+from .jet import jet_compose, jet_exp, jet_mul, jet_recip, jet_sqrt
 
 # below this the jet square root is dominated by roundoff of the
 # underflowing constant term; the distribution value there is 0 anyway
@@ -75,18 +75,18 @@ class SummaryStats:
 
 
 def _lambda_minus_1(order):
-    c = [0.0] * (order + 1)
+    c = np.zeros(order + 1)
     if order >= 1:
         c[1] = 1.0
-    return JetSeries(c)
+    return c
 
 
 def _tilde_minus_1(order):
     # lt - 1 = 2 lambda - lambda^2 - 1 = -(lambda - 1)^2
-    c = [0.0] * (order + 1)
+    c = np.zeros(order + 1)
     if order >= 2:
         c[2] = -1.0
-    return JetSeries(c)
+    return c
 
 
 def _d2_of(bundle):
@@ -98,17 +98,21 @@ def _d1_of(bundle):
     # produce e^{J0}-sized intermediates cancelling down to tiny
     # coefficients, while the exponents -I +- J only involve the much
     # smaller coefficient differences
-    order = bundle.I.order
-    inner = _tilde_minus_1(order)
-    i_t = jet_compose(bundle.I, inner)
-    mu_t = jet_compose(bundle.J, inner)
-    root_lt = jet_sqrt(1.0 + inner)
-    lin = _lambda_minus_1(order)
-    combo = lin * jet_exp(-i_t) \
-        - 0.5 * ((1.0 - root_lt) * jet_exp(mu_t - i_t)) \
-        - 0.5 * ((1.0 + root_lt) * jet_exp(-(i_t + mu_t)))
+    I, J = bundle.I, bundle.J
+    order = len(I) - 1
+    # the polynomial jets in lambda, shaped to broadcast over the s axes
+    col = (-1,) + (1,) * (I.ndim - 1)
+    inner = _tilde_minus_1(order).reshape(col)
+    lin = _lambda_minus_1(order).reshape(col)
+    one = np.eye(1, order + 1).reshape(col)
+    i_t = jet_compose(I, inner)
+    mu_t = jet_compose(J, inner)
+    root_lt = jet_sqrt(one + inner)
+    combo = jet_mul(lin, jet_exp(-i_t)) \
+        - 0.5 * jet_mul(one - root_lt, jet_exp(mu_t - i_t)) \
+        - 0.5 * jet_mul(one + root_lt, jet_exp(-(i_t + mu_t)))
     # lambda - 2 = (lambda - 1) - 1
-    return combo * jet_recip(lin - 1.0)
+    return jet_mul(combo, jet_recip(lin - one))
 
 
 def _root4_of(bundle):
@@ -119,7 +123,7 @@ def _root4_of(bundle):
 
 def _d4_of(bundle):
     r = _root4_of(bundle)
-    return r * r
+    return jet_mul(r, r)
 
 
 def d2_jet(s, sol):
@@ -143,24 +147,26 @@ def d4_jet(s, sol):
 
 def _root_of(bundle, beta):
     # the jet whose Taylor coefficients feed the telescoping sum:
-    # D2 itself, or the square root of D1/D4
+    # D2 itself, or the square root of D1/D4; columns where D1
+    # underflows are left zero
     if beta == 2:
         return _d2_of(bundle)
     if beta == 4:
         return _root4_of(bundle)
     d1 = _d1_of(bundle)
-    if d1.coeffs[0] < _UNDERFLOW:
-        return None
-    return jet_sqrt(d1)
+    root = np.zeros_like(d1)
+    ok = ~(d1[0] < _UNDERFLOW)
+    root[:, ok] = jet_sqrt(d1[:, ok])
+    return root
 
 
 def _telescope(root, m):
     # F(s, m) = sum_{k < m} (-1)^k c_k: the step from index m to m+1 is
     # (-1)^m/m! times the m-th lambda-derivative, i.e. (-1)^m c_m
-    if root is None:
-        return 0.0
-    total = math.fsum((-1.0) ** k * root.coeffs[k] for k in range(m))
-    return min(max(total, 0.0), 1.0)
+    total = root[0].copy()
+    for k in range(1, m):
+        total += (-1.0) ** k * root[k]
+    return np.clip(total, 0.0, 1.0)
 
 
 def _density(F, h):
@@ -203,9 +209,7 @@ def cdf(req, sol):
     if req.s_grid[0] < sol.config.x_left - 1e-9:
         raise ValueError(f"range error: grid starts at {req.s_grid[0]}, "
                          f"solution at {sol.config.x_left}")
-    F = np.empty(req.s_grid.size)
-    for i, s in enumerate(req.s_grid):
-        F[i] = _telescope(_root_of(sol.jet_at(float(s)), req.beta), req.m)
+    F = _telescope(_root_of(sol.jets(req.s_grid), req.beta), req.m)
 
     steps = np.diff(req.s_grid)
     h = steps[0]

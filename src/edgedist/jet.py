@@ -1,9 +1,13 @@
 """Truncated Taylor-series ("jet") arithmetic in eps = lambda - 1.
 
-A jet stores the Taylor coefficients c_0..c_M of a function of lambda
-about lambda = 1, with c_k = (1/k!) * k-th derivative.  All operations
-close at order M: coefficient k of a result depends only on coefficients
-<= k of the operands.
+A jet is a float array whose axis 0 holds the Taylor coefficients
+c_0..c_M of a function of lambda about lambda = 1, with
+c_k = (1/k!) * k-th derivative.  Trailing axes (an s-grid, say) are
+carried along and broadcast, so one call handles every point at once;
+a constant jet meant to broadcast against an (M+1, n) jet has shape
+(M+1, 1).  All operations close at order M: coefficient k of a result
+depends only on coefficients <= k of the operands.  Sums and scalar
+multiples are plain array arithmetic.
 """
 
 import math
@@ -13,173 +17,77 @@ import numpy as np
 _TINY = 1e-300
 
 
-class JetSeries:
-    """Immutable truncated Taylor series; ``coeffs`` c_0..c_M."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in coeffs))
-        if not self.coeffs:
-            raise ValueError("a jet needs at least the constant coefficient")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JetSeries is immutable")
-
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def constant(cls, value, order):
-        return cls((float(value),) + (0.0,) * order)
-
-    @classmethod
-    def variable(cls, order):
-        """The jet of eps itself: [0, 1, 0, ...]."""
-        if order == 0:
-            return cls((0.0,))
-        return cls((0.0, 1.0) + (0.0,) * (order - 1))
-
-    def __repr__(self):
-        return f"JetSeries({list(self.coeffs)})"
-
-    def __eq__(self, other):
-        return isinstance(other, JetSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        a, b = _align(self, other)
-        return JetSeries(x + y for x, y in zip(a, b))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        a, b = _align(self, other)
-        return JetSeries(x - y for x, y in zip(a, b))
-
-    def __rsub__(self, other):
-        a, b = _align(self, other)
-        return JetSeries(y - x for x, y in zip(a, b))
-
-    def __neg__(self):
-        return JetSeries(-c for c in self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return JetSeries(c * other for c in self.coeffs)
-        a, b = _align(self, other)
-        m = len(a)
-        out = [0.0] * m
-        for k in range(m):
-            out[k] = math.fsum(a[i] * b[k - i] for i in range(k + 1))
-        return JetSeries(out)
-
-    __rmul__ = __mul__
-
-
-def _align(a, b):
-    if isinstance(b, (int, float)):
-        b = JetSeries.constant(b, a.order)
-    if not isinstance(a, JetSeries) or not isinstance(b, JetSeries):
-        raise TypeError("jet operations need JetSeries operands")
-    if a.order != b.order:
+def _jets(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if len(a) != len(b):
         raise ValueError("operands must share the truncation order")
-    return a.coeffs, b.coeffs
+    return a, b
+
+
+def jet_mul(a, b):
+    """Truncated Cauchy product: c_k = sum_{i <= k} a_i b_{k-i}.
+
+    The sums are compensated (Neumaier): coefficients that cancel by
+    orders of magnitude, as in the telescoped sums of ``dist``, keep
+    their digits, and swapping the operands changes a result by at most
+    an ulp or so.
+    """
+    a, b = _jets(a, b)
+    s = a[0] * b
+    err = np.zeros_like(s)
+    for i in range(1, len(a)):
+        x = a[i] * b[:len(b) - i]
+        t = s[i:] + x
+        err[i:] += np.where(np.abs(s[i:]) >= np.abs(x),
+                            (s[i:] - t) + x, (x - t) + s[i:])
+        s[i:] = t
+    return s + err
 
 
 def jet_recip(a):
     """Reciprocal jet; the constant coefficient must be nonzero."""
-    c = a.coeffs
-    if abs(c[0]) <= _TINY:
+    c = np.asarray(a, dtype=float)
+    if np.any(np.abs(c[0]) <= _TINY):
         raise ZeroDivisionError("singular jet: cannot invert, c0 ~ 0")
-    m = len(c)
-    out = [0.0] * m
+    out = np.empty_like(c)
     out[0] = 1.0 / c[0]
-    for k in range(1, m):
-        out[k] = -out[0] * math.fsum(c[i] * out[k - i] for i in range(1, k + 1))
-    return JetSeries(out)
+    for k in range(1, len(c)):
+        s = c[1] * out[k - 1]
+        for i in range(2, k + 1):
+            s = s + c[i] * out[k - i]
+        out[k] = -out[0] * s
+    return out
 
 
 def jet_sqrt(a):
     """Square-root jet; the constant coefficient must be positive."""
-    c = a.coeffs
-    if abs(c[0]) <= _TINY:
+    c = np.asarray(a, dtype=float)
+    if np.any(np.abs(c[0]) <= _TINY):
         raise ZeroDivisionError("singular jet: cannot take sqrt, c0 ~ 0")
-    if c[0] < 0:
+    if np.any(c[0] < 0):
         raise ValueError("jet sqrt of negative constant coefficient")
-    m = len(c)
-    out = [0.0] * m
-    out[0] = math.sqrt(c[0])
-    for k in range(1, m):
-        s = math.fsum(out[i] * out[k - i] for i in range(1, k))
-        out[k] = (c[k] - s) / (2.0 * out[0])
-    return JetSeries(out)
+    out = np.empty_like(c)
+    out[0] = np.sqrt(c[0])
+    for k in range(1, len(c)):
+        s = c[k]
+        for i in range(1, k):
+            s = s - out[i] * out[k - i]
+        out[k] = s / (2.0 * out[0])
+    return out
 
 
 def jet_exp(a):
     """exp of a jet via the recurrence k f_k = sum_j j a_j f_{k-j}."""
-    c = a.coeffs
-    m = len(c)
-    out = [0.0] * m
-    out[0] = math.exp(c[0])
-    for k in range(1, m):
-        out[k] = math.fsum(j * c[j] * out[k - j] for j in range(1, k + 1)) / k
-    return JetSeries(out)
-
-
-def _jet_cosh_sinh(a):
-    # coupled recurrence from (cosh a)' = a' sinh a, (sinh a)' = a' cosh a
-    c = a.coeffs
-    m = len(c)
-    ch = [0.0] * m
-    sh = [0.0] * m
-    ch[0] = math.cosh(c[0])
-    sh[0] = math.sinh(c[0])
-    for k in range(1, m):
-        ch[k] = math.fsum(j * c[j] * sh[k - j] for j in range(1, k + 1)) / k
-        sh[k] = math.fsum(j * c[j] * ch[k - j] for j in range(1, k + 1)) / k
-    return JetSeries(ch), JetSeries(sh)
-
-
-def jet_cosh(a):
-    return _jet_cosh_sinh(a)[0]
-
-
-def jet_sinh(a):
-    return _jet_cosh_sinh(a)[1]
-
-
-_UNARY = {
-    "recip": jet_recip,
-    "sqrt": jet_sqrt,
-    "exp": jet_exp,
-    "cosh": jet_cosh,
-    "sinh": jet_sinh,
-}
-
-
-def jet_arith(op, a, b=None):
-    """Dispatch jet arithmetic by name.
-
-    Parameters
-    ----------
-    op : str
-        One of add, mul, recip, sqrt, exp, cosh, sinh.
-    a, b : JetSeries
-        Operands; ``b`` only for the binary ops add and mul.
-    """
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op in _UNARY:
-        if b is not None:
-            raise TypeError(f"{op} is unary")
-        return _UNARY[op](a)
-    raise ValueError(f"unknown jet op {op!r}")
+    c = np.asarray(a, dtype=float)
+    out = np.empty_like(c)
+    out[0] = np.exp(c[0])
+    for k in range(1, len(c)):
+        s = c[1] * out[k - 1]
+        for j in range(2, k + 1):
+            s = s + j * c[j] * out[k - j]
+        out[k] = s / k
+    return out
 
 
 def jet_compose(outer, inner):
@@ -189,14 +97,14 @@ def jet_compose(outer, inner):
     about the same base point); evaluated by a truncated Horner scheme,
     which reproduces the Faa di Bruno coefficients exactly.
     """
-    if outer.order != inner.order:
-        raise ValueError("operands must share the truncation order")
-    if inner.coeffs[0] != 0.0:
+    outer, inner = _jets(outer, inner)
+    if np.any(inner[0] != 0.0):
         raise ValueError("composition-base error: inner jet must have c0 = 0")
-    order = outer.order
-    acc = JetSeries.constant(outer.coeffs[-1], order)
-    for k in range(order - 1, -1, -1):
-        acc = acc * inner + JetSeries.constant(outer.coeffs[k], order)
+    acc = np.zeros(np.broadcast_shapes(outer.shape, inner.shape))
+    acc[0] = outer[-1]
+    for k in range(len(outer) - 2, -1, -1):
+        acc = jet_mul(acc, inner)
+        acc[0] += outer[k]
     return acc
 
 
@@ -226,14 +134,10 @@ def aj_sequence(n_max, method="jet"):
         return aj_recursion(n_max)
     if method != "jet":
         raise ValueError(f"unknown method {method!r}")
-    lam = JetSeries((1.0, 1.0) + (0.0,) * (n_max - 1)) if n_max >= 1 \
-        else JetSeries((1.0,))
-    two_minus = JetSeries((1.0, -1.0) + (0.0,) * (n_max - 1)) if n_max >= 1 \
-        else JetSeries((1.0,))
-    s = jet_sqrt(lam * jet_recip(two_minus))
-    return [c * math.factorial(j) for j, c in enumerate(s.coeffs)]
-
-
-def as_array(a):
-    """Jet coefficients as a numpy vector."""
-    return np.asarray(a.coeffs, dtype=float)
+    lam = np.zeros(n_max + 1)
+    two_minus = np.zeros(n_max + 1)
+    lam[0] = two_minus[0] = 1.0
+    if n_max >= 1:
+        lam[1], two_minus[1] = 1.0, -1.0
+    s = jet_sqrt(jet_mul(lam, jet_recip(two_minus)))
+    return [float(c) * math.factorial(j) for j, c in enumerate(s)]

@@ -90,23 +90,39 @@ def _d4_lambda(s, lam, n):
     # similarity-scaled W^{1/2} K W^{1/2} form is used
     x, w = _truncate(build_rule(s, n))
     m = x.size
-    ai, _ = specfun.airy(x)
-    tail = np.array([specfun.ai_tail(v) for v in x])
+    ai, aip = specfun.airy(x)
+    tail = specfun.ai_tail(x)
 
     kern = specfun.airy_kernel(x[:, None], x[None, :])
     kern_dy = specfun.airy_kernel_dy(x[:, None], x[None, :])
 
-    # int_x^inf K_Airy(z, y) dz, inner rule per row
+    # int_x^inf K_Airy(z, y) dz, inner rule per row; Ai and Ai' at every
+    # inner node z are evaluated once, and the kernel's confluent branch
+    # is added after the row loop for the rare |z - y| below its threshold
     v, wv = np.polynomial.legendre.leggauss(_INNER_NODES)
     v = 0.5 * (v + 1.0)
-    wv = 0.5 * wv
+    jac = 0.5 * wv * _L / (1.0 - v) ** 2
+    z = x[:, None] + _L * v / (1.0 - v)
+    zkeep = z <= specfun.XMAX
+    aiz = np.zeros_like(z)
+    aipz = np.zeros_like(z)
+    aiz[zkeep], aipz[zkeep] = specfun.airy(z[zkeep])
     kint = np.empty((m, m))
+    confluent = []
     for i in range(m):
-        z = x[i] + _L * v / (1.0 - v)
-        jac = wv * _L / (1.0 - v) ** 2
-        zkeep = z <= specfun.XMAX
-        kint[i] = jac[zkeep] @ specfun.airy_kernel(
-            z[zkeep, None], x[None, :])
+        keep = zkeep[i]
+        d = z[i, keep, None] - x[None, :]
+        near = np.abs(d) < specfun.CONFLUENT_EPS
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = (aiz[i, keep, None] * aip[None, :]
+                 - aipz[i, keep, None] * ai[None, :]) / d
+        if np.any(near):
+            r, c = np.nonzero(near)
+            confluent.append((i, jac[keep][r], z[i, keep][r], c))
+            k[near] = 0.0
+        kint[i] = jac[keep] @ k
+    for i, wz, zc, c in confluent:
+        np.add.at(kint[i], c, wz * specfun.airy_kernel(zc, x[c]))
 
     s4 = kern - 0.5 * ai[:, None] * tail[None, :]
     sd4 = -kern_dy - 0.5 * ai[:, None] * ai[None, :]

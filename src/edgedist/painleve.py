@@ -22,10 +22,9 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, interpolate
 
 from . import specfun
-from .jet import JetSeries
 
 
 class SolverError(RuntimeError):
@@ -103,23 +102,34 @@ def sqrt_lambda_coeffs(order):
 def boundary_jet(x, order=4):
     """Right-boundary jets of q and q' from q ~ sqrt(lambda) Ai.
 
-    Coefficient k is binom(1/2, k) Ai(x) (respectively Ai'(x)).
-    Requires x >= 4, inside the asymptotic regime.
+    Coefficient k is binom(1/2, k) Ai(x) (respectively Ai'(x)); for an
+    array x each jet has shape (order + 1, x.size).  Requires x >= 4,
+    inside the asymptotic regime.
     """
-    if x < 4.0:
+    if np.any(np.asarray(x) < 4.0):
         raise ValueError("boundary data requires x >= 4")
     ai, aip = specfun.airy(x)
-    b = sqrt_lambda_coeffs(order)
-    return (JetSeries([bk * ai for bk in b]),
-            JetSeries([bk * aip for bk in b]))
+    b = np.reshape(sqrt_lambda_coeffs(order), (-1,) + (1,) * np.ndim(x))
+    return b * ai, b * aip
 
 
 class JetBundle(NamedTuple):
-    q: JetSeries
-    qprime: JetSeries
-    I: JetSeries
-    Iprime: JetSeries
-    J: JetSeries
+    """Jets of q, q', I, I', J; each field an array with the order on axis 0."""
+    q: np.ndarray
+    qprime: np.ndarray
+    I: np.ndarray
+    Iprime: np.ndarray
+    J: np.ndarray
+
+
+def _evaluate(dense, x, order):
+    """(5, order + 1, x.size) jets from the order-0 collocation solution
+    and, for order >= 1, the dense output of the jet sweep."""
+    d0 = dense[0](x)[:, None, :]
+    if order == 0:
+        return d0
+    return np.concatenate([d0, dense[1](x).reshape(5, order, x.size)],
+                          axis=1)
 
 
 class PainleveSolution:
@@ -133,7 +143,8 @@ class PainleveSolution:
         Row k holds the k-th Taylor coefficient on the grid.
     config : SolverConfig
     diagnostics : dict
-        Collocation residuals and node counts per jet order.
+        Collocation residual and node count of order 0 ("order0") and
+        the step count of the jet sweep ("sweep", jet_order >= 1).
     """
 
     def __init__(self, grid, q, qprime, I, Iprime, J, config, dense,
@@ -154,38 +165,40 @@ class PainleveSolution:
     def jet_order(self):
         return self.q.shape[0] - 1
 
-    def jet_at(self, s):
-        """Jets of q, q', I, I', J at a point.
+    def jets(self, s):
+        """Jets of q, q', I, I', J at every point of a 1-d array.
 
-        Valid for s >= x_left; beyond x_right the closed-form boundary
-        jets (which the solve itself uses as right-end data) take over.
+        Each field of the returned bundle has shape (jet_order + 1,
+        s.size).  Valid for s >= x_left; beyond x_right the closed-form
+        boundary jets (which the solve itself uses as right-end data)
+        take over.
         """
-        s = float(s)
+        s = np.asarray(s, dtype=float)
         cfg = self.config
-        if s < cfg.x_left - 1e-12:
-            raise ValueError(f"s = {s} left of solved domain [{cfg.x_left}, inf)")
+        if s.size and s.min() < cfg.x_left - 1e-12:
+            raise ValueError(f"s = {s.min()} left of solved domain "
+                             f"[{cfg.x_left}, inf)")
         M = self.jet_order
-        if s > cfg.x_right:
-            qj, qpj = boundary_jet(s, M)
-            t = specfun.ai2_weighted_tail(s)
-            v = specfun.ai2_tail(s)
-            w = specfun.ai_tail(s)
-            b = sqrt_lambda_coeffs(M)
-            ij = [t, t] + [0.0] * (M - 1) if M >= 1 else [t]
-            ipj = [-v, -v] + [0.0] * (M - 1) if M >= 1 else [-v]
-            return JetBundle(qj, qpj, JetSeries(ij[:M + 1]),
-                             JetSeries(ipj[:M + 1]),
-                             JetSeries([bk * w for bk in b]))
-        s = min(max(s, cfg.x_left), cfg.x_right)
-        pt = np.array([s])
-        cols = [d(pt)[:, 0] for d in self._dense]
-        return JetBundle(
-            JetSeries([c[0] for c in cols]),
-            JetSeries([c[1] for c in cols]),
-            JetSeries([c[2] for c in cols]),
-            JetSeries([c[3] for c in cols]),
-            JetSeries([c[4] for c in cols]),
-        )
+        out = np.empty((5, M + 1, s.size))
+        tail = s > cfg.x_right
+        if not np.all(tail):
+            inner = np.clip(s[~tail], cfg.x_left, cfg.x_right)
+            out[..., ~tail] = _evaluate(self._dense, inner, M)
+        if np.any(tail):
+            x = s[tail]
+            q, qp = boundary_jet(x, M)
+            # I and I' are linear in lambda, J is sqrt(lambda) W
+            lam = (np.arange(M + 1) < 2).astype(float)[:, None]
+            b = np.array(sqrt_lambda_coeffs(M))[:, None]
+            out[..., tail] = (q, qp, lam * specfun.ai2_weighted_tail(x),
+                              -lam * specfun.ai2_tail(x),
+                              b * specfun.ai_tail(x))
+        return JetBundle(*out)
+
+    def jet_at(self, s):
+        """Jets of q, q', I, I', J at one point; each field has shape
+        (jet_order + 1,).  See ``jets``."""
+        return JetBundle(*(a[:, 0] for a in self.jets([float(s)])))
 
     def to_csv(self, fileobj):
         """Dump the solution grid: columns x, q0..qM, I0..IM, J0..JM."""
@@ -246,25 +259,6 @@ def solve_at_lambda(lam, config=None):
     if not res.success:
         raise SolverError(f"deformed sweep failed: {res.message}")
     return LambdaSolution(lam=lam, config=cfg, dense=res.sol)
-
-
-def _cube_forcing(qlow, k):
-    """Coefficient k of 2 q^3 from orders < k (the q_k term is excluded)."""
-    r = 0.0
-    for i in range(k + 1):
-        for j in range(k + 1 - i):
-            l = k - i - j
-            if i < k and j < k and l < k:
-                r = r + qlow[i] * qlow[j] * qlow[l]
-    return 2.0 * r
-
-
-def _square_forcing(qlow, k):
-    """Coefficient k of q^2 from orders < k (the 2 q0 q_k term is excluded)."""
-    s = 0.0
-    for i in range(1, k):
-        s = s + qlow[i] * qlow[k - i]
-    return s
 
 
 def solve(config=None):
@@ -371,47 +365,46 @@ def solve(config=None):
     diagnostics["order0"] = {"nodes": res.x.size,
                              "max_rms_residual": float(res.rms_residuals.max())}
 
-    # ---- orders 1..M: linear variational sweeps from the right boundary.
-    # All side data for these orders sits at x_right, and the wanted
-    # solution grows leftward at least as fast as any homogeneous mode,
-    # so backward integration keeps the relative error bounded.
-    rtol_ivp = max(cfg.ode_tolerance, 1e-13)
-    for k in range(1, M + 1):
-        def rhs(x, y, k=k):
-            xa = np.array([x])
-            qlow = [float(d(xa)[0, 0]) for d in dense[:k]]
-            q0 = qlow[0]
-            q, qp, _, ip, _ = y
-            return [qp,
-                    (x + 6.0 * q0 * q0) * q + _cube_forcing(qlow, k),
-                    ip,
-                    2.0 * q0 * q + _square_forcing(qlow, k),
-                    -q]
+    # ---- orders 1..M: one linear variational sweep from the right
+    # boundary.  All side data for these orders sits at x_right, and the
+    # wanted solution grows leftward at least as fast as any homogeneous
+    # mode, so backward integration keeps the relative error bounded.
+    # The state holds rows q, q', I, I', J of orders 1..M; the forcing is
+    # the Painleve system applied to the full jet of q, with q0 taken from
+    # the collocation solution.
+    if M >= 1:
+        q0 = interpolate.PPoly(res.sol.c[:, :, :1], res.sol.x)
 
-        y0 = [b[k] * ai_r,
-              b[k] * aip_r,
-              T if k == 1 else 0.0,
-              -V if k == 1 else 0.0,
-              b[k] * W]
-        resk = integrate.solve_ivp(rhs, (xr, xl), y0, method="DOP853",
-                                   rtol=rtol_ivp, atol=1e-20,
-                                   dense_output=True)
-        if not resk.success:
-            raise SolverError(f"order-{k} sweep failed: {resk.message}")
-        dense.append(resk.sol)
-        diagnostics[f"order{k}"] = {"steps": resk.t.size}
+        def rhs(x, y):
+            q, qp, _, ip, _ = y.reshape(5, M)
+            qj = np.concatenate((q0(x), q))
+            # Cauchy products (q^2)_k and (q^3)_k, k = 0..M
+            sq = np.convolve(qj, qj)[:M + 1]
+            cube = np.convolve(sq, qj)
+            dy = np.empty((5, M))
+            dy[0], dy[1], dy[2] = qp, x * q + 2.0 * cube[1:M + 1], ip
+            dy[3], dy[4] = sq[1:], -q
+            return dy.ravel()
+
+        bk = np.array(b[1:M + 1])
+        y0 = np.zeros((5, M))
+        y0[0], y0[1], y0[4] = bk * ai_r, bk * aip_r, bk * W
+        y0[2, 0], y0[3, 0] = T, -V
+        sweep = integrate.solve_ivp(rhs, (xr, xl), y0.ravel(),
+                                    method="DOP853",
+                                    rtol=max(cfg.ode_tolerance, 1e-13),
+                                    atol=1e-20, dense_output=True)
+        if not sweep.success:
+            raise SolverError(f"jet sweep failed: {sweep.message}")
+        dense.append(sweep.sol)
+        diagnostics["sweep"] = {"steps": sweep.t.size}
 
     # ---- sample everything on the uniform output grid
     n_out = int(round((xr - xl) / cfg.grid_step)) + 1
     x_out = np.linspace(xl, xr, n_out)
-    stacked = np.array([d(x_out) for d in dense])  # (M+1, 5, n)
+    q, qprime, I, Iprime, J = _evaluate(dense, x_out, M)
     return PainleveSolution(
-        grid=x_out,
-        q=stacked[:, 0].copy(),
-        qprime=stacked[:, 1].copy(),
-        I=stacked[:, 2].copy(),
-        Iprime=stacked[:, 3].copy(),
-        J=stacked[:, 4].copy(),
+        grid=x_out, q=q, qprime=qprime, I=I, Iprime=Iprime, J=J,
         config=cfg,
         dense=dense,
         diagnostics=diagnostics,

@@ -106,6 +106,14 @@ def airy_kernel_dy(x, y):
     return kdy
 
 
+# Gauss-Laguerre rule for the tail integral at x >= _LAGUERRE_FROM: in
+# the scaled variable v = sqrt(x) (u - x) the integrand Ai(u) decays like
+# e^{-v} times a slowly varying factor
+_LAGUERRE_FROM = 2.0
+_LAGUERRE_V, _LAGUERRE_W = np.polynomial.laguerre.laggauss(30)
+_LAGUERRE_W = _LAGUERRE_W * np.exp(_LAGUERRE_V)
+
+
 def _ai_tail_one(x):
     # Ai decays superexponentially; 40 units past max(x, 0) the remainder
     # is below 1e-70
@@ -116,11 +124,24 @@ def _ai_tail_one(x):
 
 
 def ai_tail(x):
-    """Tail integral of Ai over (x, infinity), by adaptive quadrature."""
+    """Tail integral of Ai over (x, infinity).
+
+    For x >= 2 a 30-node Gauss-Laguerre rule in the scaled variable,
+    sum_i w_i e^{v_i} Ai(x + v_i/sqrt(x)) / sqrt(x), evaluated for all
+    such points at once; below 2 adaptive quadrature per point.
+    """
     xa = _check_range(x)
+    flat = xa.ravel()
+    out = np.empty(flat.shape)
+    far = flat >= _LAGUERRE_FROM
+    if np.any(far):
+        r = np.sqrt(flat[far])
+        ai = special.airy(flat[far, None] + _LAGUERRE_V / r[:, None])[0]
+        out[far] = ai @ _LAGUERRE_W / r
+    out[~far] = [_ai_tail_one(float(v)) for v in flat[~far]]
     if xa.ndim == 0:
-        return _ai_tail_one(float(xa))
-    return np.array([_ai_tail_one(float(v)) for v in xa.ravel()]).reshape(xa.shape)
+        return float(out[0])
+    return out.reshape(xa.shape)
 
 
 def ai2_tail(x):

@@ -117,7 +117,7 @@ def test_3_interlacing(sol_wide, verdict):
 
 def test_4_determinant_oracle(sol_default, verdict):
     pts = (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0)
-    r_full = max(abs(math.exp(-sol_default.jet_at(s).I.coeffs[0])
+    r_full = max(abs(math.exp(-sol_default.jet_at(s).I[0])
                      - oracle.nystrom_d2(s, 1.0, 200)) for s in pts)
     half = painleve.solve_at_lambda(0.5)
     r_half = max(abs(math.exp(-half.at(s)[2])
@@ -125,8 +125,8 @@ def test_4_determinant_oracle(sol_default, verdict):
     r_d4 = 0.0
     for s in (-2.0, 0.0):
         b = sol_default.jet_at(s)
-        closed = math.exp(-b.I.coeffs[0]) \
-            * math.cosh(b.J.coeffs[0] / 2.0) ** 2
+        closed = math.exp(-b.I[0]) \
+            * math.cosh(b.J[0] / 2.0) ** 2
         r_d4 = max(r_d4, abs(closed - oracle.nystrom_d4(s, 200)))
     ok = r_full <= 1e-8 and r_half <= 1e-6 and r_d4 <= 1e-6
     verdict(4, "Nystrom determinant cross-check", ok,
@@ -139,8 +139,8 @@ def test_4_determinant_oracle(sol_default, verdict):
 
 def test_5_asymptotic_patching(sol_default, verdict):
     b = sol_default.jet_at(-8.0)
-    r0 = abs(b.q.coeffs[0] / painleve.q0_asymptotic(16.0) - 1.0)
-    r1 = abs(b.q.coeffs[1] / painleve.q1_asymptotic(16.0) - 1.0)
+    r0 = abs(b.q[0] / painleve.q0_asymptotic(16.0) - 1.0)
+    r1 = abs(b.q[1] / painleve.q1_asymptotic(16.0) - 1.0)
     ok = r0 <= 1e-6 and r1 <= 1e-4
     verdict(5, "asymptotic patching at x=-8", ok,
              f"q0 rel {r0:.1e} (tol 1e-06), q1 rel {r1:.1e} (tol 1e-04)")

@@ -93,7 +93,7 @@ def test_tw_convention_rescales_argument(tmp_path):
     plain = tmp_path / "plain.csv"
     tw = tmp_path / "tw.csv"
     s_tw = -2.0
-    s_plain = s_tw / math.sqrt(2.0)
+    s_plain = s_tw * math.sqrt(2.0)
     assert cli.main(["table", "--beta", "4", "--s", repr(s_plain),
                      "-o", str(plain)]) == 0
     assert cli.main(["table", "--beta", "4", "--s", repr(s_tw),
@@ -104,7 +104,16 @@ def test_tw_convention_rescales_argument(tmp_path):
                      .split(","))
     assert s_t == s_tw
     assert abs(F_t - F_p) <= 1e-10
-    assert f_t == pytest.approx(f_p / math.sqrt(2.0), rel=1e-8)
+    assert f_t == pytest.approx(f_p * math.sqrt(2.0), rel=1e-8)
+    # anchor: Bornemann's (2010) GSE mean -2.306885 in the Tracy-Widom
+    # normalization is -3.262428 = sqrt(2) * -2.306885 in this library's
+    assert cli.main(["table", "--beta", "4", "--s", "-2.306885",
+                     "--tw-convention", "-o", str(tw)]) == 0
+    assert cli.main(["table", "--beta", "4", "--s", "-3.262428",
+                     "-o", str(plain)]) == 0
+    F_t = float(data_lines(tw.read_text())[1].split(",")[1])
+    F_p = float(data_lines(plain.read_text())[1].split(",")[1])
+    assert abs(F_t - F_p) <= 1e-6
 
 
 def test_moments_csv(tmp_path):
@@ -173,6 +182,14 @@ def test_verify_aj(capsys):
     assert rc == 0
     assert "aj jets vs recursion" in out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_oracle_json(capsys):
+    rc = cli.main(["verify", "--check", "oracle", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert doc["passed"] is True
+    assert len(doc["results"]) == 3
 
 
 def test_percentile_round_trip(tmp_path, capsys):

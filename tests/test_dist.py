@@ -1,5 +1,6 @@
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,20 @@ from scipy import stats
 
 from edgedist import dist, jet, oracle, painleve
 from edgedist.dist import DistRequest, DistTable
+from conftest import MOMENT_GRID
+
+# F_beta(s, m) on every 25th point of MOMENT_GRID, written by the
+# per-order sweeps and the scalar jet class that preceded the single jet
+# sweep and the array jets
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cdf.txt")
+# absolute tolerances per (beta, m), from the measured change of the
+# single sweep on the full moment grid: the order-2/3 coefficients of
+# (2, 4) and (4, 3) cancel heavily in the left tail (ROADMAP item 2).
+# (4, 4) is left out: its values are wrong with either sweep and move
+# with any change to the order-3 jets (ROADMAP item 2).
+GOLDEN_TOL = {(1, 1): 1e-10, (1, 2): 1e-10, (1, 3): 1e-10, (1, 4): 1e-10,
+              (2, 1): 1e-10, (2, 2): 1e-10, (2, 3): 1e-9, (2, 4): 1e-6,
+              (4, 1): 1e-10, (4, 2): 1e-10, (4, 3): 1e-4}
 
 
 class TestRequestValidation:
@@ -41,19 +56,19 @@ class TestJetIdentities:
 
     def test_d1_at_lambda_one(self, sol_default):
         b = sol_default.jet_at(-2.0)
-        c0 = dist.d1_jet(-2.0, sol_default).coeffs[0]
-        ref = math.exp(-(b.I.coeffs[0] + b.J.coeffs[0]))
+        c0 = dist.d1_jet(-2.0, sol_default)[0]
+        ref = math.exp(-(b.I[0] + b.J[0]))
         assert abs(c0 - ref) <= 1e-12 * ref
 
     def test_d4_at_lambda_one(self, sol_default):
         b = sol_default.jet_at(-2.0)
-        c0 = dist.d4_jet(-2.0, sol_default).coeffs[0]
-        ref = (dist.d2_jet(-2.0, sol_default).coeffs[0]
-               * math.cosh(0.5 * b.J.coeffs[0]) ** 2)
+        c0 = dist.d4_jet(-2.0, sol_default)[0]
+        ref = (dist.d2_jet(-2.0, sol_default)[0]
+               * math.cosh(0.5 * b.J[0]) ** 2)
         assert abs(c0 - ref) <= 1e-12 * ref
 
     def test_d2_value_against_quadrature(self, sol_default):
-        c0 = dist.d2_jet(-2.0, sol_default).coeffs[0]
+        c0 = dist.d2_jet(-2.0, sol_default)[0]
         assert abs(c0 - oracle.nystrom_d2(-2.0)) <= 1e-9
 
     def test_d2_derivative_against_quadrature(self, sol_default):
@@ -61,23 +76,23 @@ class TestJetIdentities:
         h = 1e-3
         v = [oracle.nystrom_d2(-2.0, lam=1.0 - k * h) for k in range(3)]
         fd = (3.0 * v[0] - 4.0 * v[1] + v[2]) / (2.0 * h)
-        c1 = dist.d2_jet(-2.0, sol_default).coeffs[1]
+        c1 = dist.d2_jet(-2.0, sol_default)[1]
         assert abs(c1 - fd) <= 1e-8
 
     def test_d4_derivative_against_quadrature(self, sol_default):
         h = 1e-3
         v = [oracle._d4_lambda(-2.0, 1.0 - k * h, 120) for k in range(3)]
         fd = (3.0 * v[0] - 4.0 * v[1] + v[2]) / (2.0 * h)
-        c1 = dist.d4_jet(-2.0, sol_default).coeffs[1]
+        c1 = dist.d4_jet(-2.0, sol_default)[1]
         assert abs(c1 - fd) <= 1e-8
 
     def test_composition_through_lt_is_even(self, sol_default):
         # lt - 1 = -(lambda - 1)^2 kills the odd orders
         b = sol_default.jet_at(-2.0)
-        inner = dist._tilde_minus_1(b.I.order)
+        inner = dist._tilde_minus_1(len(b.I) - 1)
         composed = jet.jet_compose(b.I, inner)
-        assert composed.coeffs[1] == 0.0
-        assert composed.coeffs[3] == 0.0
+        assert composed[1] == 0.0
+        assert composed[3] == 0.0
 
 
 class TestCdf:
@@ -143,6 +158,16 @@ class TestCdf:
     def test_interlacing_m2(self, sol_default):
         grid = np.linspace(-10.0, 6.0, 1601)
         assert dist.interlacing_residual(2, sol_default, grid) <= 1e-4
+
+
+def test_golden_tables(sol_wide):
+    golden = np.loadtxt(GOLDEN)
+    grid = MOMENT_GRID[::25]
+    np.testing.assert_array_equal(golden[:, 0], grid)
+    for col, (beta, m) in enumerate(GOLDEN_TOL, start=1):
+        F = dist.cdf(DistRequest(beta=beta, m=m, s_grid=grid), sol_wide).F
+        dev = np.max(np.abs(F - golden[:, col]))
+        assert dev <= GOLDEN_TOL[beta, m], (beta, m, dev)
 
 
 class TestMoments:

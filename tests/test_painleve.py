@@ -73,9 +73,9 @@ def test_boundary_jet():
     ai, aip = specfun.airy(6.0)
     qj, qpj = painleve.boundary_jet(6.0, order=3)
     np.testing.assert_allclose(
-        qj.coeffs, [ai, 0.5 * ai, -0.125 * ai, 0.0625 * ai], rtol=1e-15)
+        qj, [ai, 0.5 * ai, -0.125 * ai, 0.0625 * ai], rtol=1e-15)
     np.testing.assert_allclose(
-        qpj.coeffs, [aip, 0.5 * aip, -0.125 * aip, 0.0625 * aip], rtol=1e-15)
+        qpj, [aip, 0.5 * aip, -0.125 * aip, 0.0625 * aip], rtol=1e-15)
     with pytest.raises(ValueError):
         painleve.boundary_jet(3.9)
 
@@ -85,17 +85,17 @@ class TestSolveInvariants:
         xr = sol_default.config.x_right
         b = sol_default.jet_at(xr)
         pair = specfun.airy(xr)
-        assert abs(b.q.coeffs[0] - pair.ai) < 1e-10
-        assert abs(b.qprime.coeffs[0] - pair.aip) < 1e-10
+        assert abs(b.q[0] - pair.ai) < 1e-10
+        assert abs(b.qprime[0] - pair.aip) < 1e-10
 
     def test_right_boundary_tail_integrals(self, sol_default):
         xr = sol_default.config.x_right
         b = sol_default.jet_at(xr)
         w_ref, _ = integrate.quad(lambda u: special.airy(u)[0], xr, 46.0,
                                   epsabs=1e-15)
-        assert abs(b.J.coeffs[0] - w_ref) < 1e-8
-        assert abs(b.I.coeffs[0] - specfun.ai2_weighted_tail(xr)) < 1e-10
-        assert abs(b.Iprime.coeffs[0] + specfun.ai2_tail(xr)) < 1e-10
+        assert abs(b.J[0] - w_ref) < 1e-8
+        assert abs(b.I[0] - specfun.ai2_weighted_tail(xr)) < 1e-10
+        assert abs(b.Iprime[0] + specfun.ai2_tail(xr)) < 1e-10
 
     def test_q0_positive(self, sol_default):
         assert np.all(sol_default.q[0] > 0.0)
@@ -142,8 +142,8 @@ class TestSolveInvariants:
         b = sol_default.jet_at(-8.0)
         q0_ref = painleve.q0_asymptotic(16.0)
         q1_ref = painleve.q1_asymptotic(16.0)
-        assert abs(b.q.coeffs[0] - q0_ref) / q0_ref < 1e-6
-        assert abs(b.q.coeffs[1] - q1_ref) / q1_ref < 1e-4
+        assert abs(b.q[0] - q0_ref) / q0_ref < 1e-6
+        assert abs(b.q[1] - q1_ref) / q1_ref < 1e-4
 
     def test_jet_order_consistency(self, sol_default, sol_order2):
         # truncation order must not change the shared coefficients
@@ -151,14 +151,14 @@ class TestSolveInvariants:
             full = sol_default.jet_at(s)
             low = sol_order2.jet_at(s)
             for name in ("q", "qprime", "I", "Iprime", "J"):
-                a = getattr(full, name).coeffs[:3]
-                b = getattr(low, name).coeffs
+                a = getattr(full, name)[:3]
+                b = getattr(low, name)
                 for u, v in zip(a, b):
                     assert abs(u - v) <= 1e-10 * max(1.0, abs(v))
 
     def test_grid_refinement_stability(self, sol_default, sol_fine):
-        a = math.exp(-sol_default.jet_at(-2.0).I.coeffs[0])
-        b = math.exp(-sol_fine.jet_at(-2.0).I.coeffs[0])
+        a = math.exp(-sol_default.jet_at(-2.0).I[0])
+        b = math.exp(-sol_fine.jet_at(-2.0).I[0])
         assert abs(a - b) <= 1e-9
 
     def test_diagnostics_present(self, sol_default):
@@ -175,8 +175,8 @@ class TestSolutionAccess:
         inner = sol_default.jet_at(6.0 - 1e-9)
         outer = sol_default.jet_at(6.0 + 1e-9)
         for name in ("q", "qprime", "I", "Iprime", "J"):
-            a = np.array(getattr(inner, name).coeffs)
-            b = np.array(getattr(outer, name).coeffs)
+            a = getattr(inner, name)
+            b = getattr(outer, name)
             np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-13)
 
     def test_tail_jet_values(self, sol_default):
@@ -184,10 +184,10 @@ class TestSolutionAccess:
         b = sol_default.jet_at(s)
         ai = specfun.airy(s).ai
         np.testing.assert_allclose(
-            b.q.coeffs, [c * ai for c in painleve.sqrt_lambda_coeffs(4)],
+            b.q, [c * ai for c in painleve.sqrt_lambda_coeffs(4)],
             rtol=1e-14)
-        assert b.I.coeffs[0] == b.I.coeffs[1]
-        assert b.I.coeffs[2] == 0.0
+        assert b.I[0] == b.I[1]
+        assert b.I[2] == 0.0
 
     def test_arrays_frozen(self, sol_default):
         with pytest.raises(ValueError):

@@ -142,6 +142,24 @@ def test_ai_tail_decreasing():
     assert all(a > b > 0.0 for a, b in zip(vals, vals[1:]))
 
 
+def test_ai_tail_laguerre_against_mpmath():
+    # the vectorised Gauss-Laguerre path (x >= 2) against a 30-digit
+    # reference, and its agreement with the per-point quadrature at the
+    # switch-over point
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    xs = np.array([2.0, 3.5, 6.0, 9.5, 14.0])
+    got = specfun.ai_tail(xs)
+    for x, g in zip(xs, got):
+        # Ai decays on the scale 1/sqrt(x)
+        h = 1.0 / math.sqrt(x)
+        ref = mp.quad(mp.airyai, [x + k * h for k in (0, 1, 2, 4, 8, 16, 32)]
+                      + [mp.inf])
+        assert abs(g / float(ref) - 1.0) <= 5e-14
+    assert specfun.ai_tail(2.0) == pytest.approx(
+        specfun._ai_tail_one(2.0), rel=1e-12)
+
+
 def test_ai2_tails_against_quadrature():
     for x in (-3.0, 0.0, 1.5):
         direct, _ = integrate.quad(
