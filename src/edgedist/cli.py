@@ -10,7 +10,7 @@ usage, 3 solver or sampling failure.
 """
 
 import argparse
-import io
+import dataclasses
 import json
 import math
 import os
@@ -24,8 +24,10 @@ from . import __version__, dist, jet, oracle, painleve, rmt
 _BETAS = (1, 2, 4)
 _ENSEMBLE_BETA = {"goe": 1, "gue": 2, "gse": 4, "wishart": 1}
 # grid wide enough that every supported (beta, m) has negligible mass
-# outside it; needed by the moment quadrature
-_MOMENT_GRID = (-13.0, 9.5, 0.0125)
+# outside it; needed by the moment quadrature.  Its solves start half a
+# unit further left.
+_MOMENT_GRID = np.linspace(-13.0, 9.5, 1801)
+_MOMENT_X_LEFT = -13.5
 _TABLE_GRID = (-13.0, 6.0, 0.01)
 
 
@@ -93,15 +95,23 @@ def _solver_config(args, s_min=None):
     )
 
 
-def _header(args, seed=None):
-    flags = " ".join(args.raw_argv)
-    lines = [f"# edgedist {__version__}", f"# flags: {flags}"]
-    if seed is not None:
-        lines.append(f"# seed: {seed}")
-    return lines
+def _write(args, doc, lines):
+    """Emit one result, to -o or stdout.
 
-
-def _emit(args, text):
+    With --json this is ``doc`` as one JSON document, after the version
+    and the flags; otherwise the '#' header (version, flags, and the
+    seed when ``doc`` has one) followed by ``lines``.
+    """
+    if args.json:
+        text = json.dumps({"version": __version__, "flags": args.raw_argv,
+                           **doc}, indent=2)
+    else:
+        head = [f"# edgedist {__version__}",
+                f"# flags: {' '.join(args.raw_argv)}"]
+        if "seed" in doc:
+            head.append(f"# seed: {doc['seed']}")
+        text = "\n".join(head + lines)
+    text += "\n"
     if args.output is None:
         sys.stdout.write(text)
         return
@@ -118,6 +128,22 @@ def _emit(args, text):
         raise
 
 
+def _csv(columns, rows):
+    """CSV lines: the column names, then one line per row."""
+    return [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
+
+
+def _tables(args, beta, ms, grid, s_min):
+    """Solve once, then tabulate F_beta(s, m) on ``grid`` for each m."""
+    cfg = _solver_config(args, s_min=s_min)
+    if max(ms) > cfg.jet_order:
+        raise ValueError(f"m = {max(ms)} exceeds the solver jet order "
+                         f"{cfg.jet_order}")
+    sol = painleve.solve(cfg)
+    return [dist.cdf(dist.DistRequest(beta=beta, m=m, s_grid=grid), sol)
+            for m in ms]
+
+
 def _grid_from_args(args):
     if args.s is not None:
         # five-point stencil around s so the density has full accuracy
@@ -129,104 +155,60 @@ def _grid_from_args(args):
     return np.linspace(lo, hi, n), False
 
 
-def _table_payload(args, solve_grid, emit_grid, ms, beta, sol):
-    blocks = []
-    for m in ms:
-        req = dist.DistRequest(beta=beta, m=m, s_grid=solve_grid)
-        tab = dist.cdf(req, sol)
-        F, f = tab.F, tab.f
-        if args.tw_convention:
-            f = f * math.sqrt(2.0)
-        blocks.append({"beta": beta, "m": m,
-                       "s": emit_grid, "F": F, "f": f})
-    return blocks
-
-
 def cmd_table(args):
-    beta = args.beta
-    ms = args.m
-    if args.tw_convention and beta != 4:
+    if args.tw_convention and args.beta != 4:
         raise ValueError("--tw-convention applies to beta 4 only")
-    raw_grid, single = _grid_from_args(args)
+    grid, single = _grid_from_args(args)
     # the Tracy-Widom normalization F_4^TW(s) = F_4(sqrt(2) s): the
     # default table read at sqrt(2) s
-    solve_grid = raw_grid * math.sqrt(2.0) if args.tw_convention else raw_grid
-    cfg = _solver_config(args, s_min=float(solve_grid[0]))
-    if max(ms) > cfg.jet_order:
-        raise ValueError("m exceeds the solver jet order")
-    sol = painleve.solve(cfg)
-    blocks = _table_payload(args, solve_grid, raw_grid, ms, beta, sol)
+    scale = math.sqrt(2.0) if args.tw_convention else 1.0
+    solve_grid = grid * scale
+    tables = _tables(args, args.beta, args.m, solve_grid,
+                     float(solve_grid[0]))
+    s, keep = grid.tolist(), slice(None)
     if single:
-        for blk in blocks:
-            blk["s"] = np.array([args.s])
-            blk["F"] = blk["F"][2:3]
-            blk["f"] = blk["f"][2:3]
-    if args.json:
-        doc = {"version": __version__, "flags": args.raw_argv,
-               "tables": [{"beta": b["beta"], "m": b["m"],
-                           "s": list(map(float, b["s"])),
-                           "F": list(map(float, b["F"])),
-                           "f": list(map(float, b["f"]))}
-                          for b in blocks]}
-        _emit(args, json.dumps(doc, indent=2) + "\n")
-        return 0
-    out = io.StringIO()
-    for ln in _header(args):
-        out.write(ln + "\n")
-    for blk in blocks:
-        out.write(f"# beta={blk['beta']} m={blk['m']}\n")
-        out.write("s,F,f\n")
-        for s, F, f in zip(blk["s"], blk["F"], blk["f"]):
-            out.write(f"{_fmt(s)},{_fmt(F)},{_fmt(f)}\n")
-    _emit(args, out.getvalue())
+        # report the centre of the stencil
+        s, keep = [args.s], slice(2, 3)
+    blocks = [{"beta": t.beta, "m": t.m, "s": s, "F": t.F[keep].tolist(),
+               "f": (t.f[keep] * scale).tolist()} for t in tables]
+    lines = []
+    for b in blocks:
+        lines.append(f"# beta={b['beta']} m={b['m']}")
+        lines += _csv(("s", "F", "f"), zip(b["s"], b["F"], b["f"]))
+    _write(args, {"tables": blocks}, lines)
     return 0
-
-
-def _moment_grid():
-    lo, hi, step = _MOMENT_GRID
-    n = int(round((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, n)
 
 
 def cmd_moments(args):
-    beta = args.beta
-    ms = args.m
-    grid = _moment_grid()
-    cfg = _solver_config(args, s_min=float(grid[0]) - 0.5)
-    if max(ms) > cfg.jet_order:
-        raise ValueError("m exceeds the solver jet order")
-    sol = painleve.solve(cfg)
-    rows = []
-    for m in ms:
-        tab = dist.cdf(dist.DistRequest(beta=beta, m=m, s_grid=grid), sol)
-        st = dist.moments(tab)
-        rows.append((m, st))
-    if args.json:
-        doc = {"version": __version__, "flags": args.raw_argv,
-               "moments": [{"beta": beta, "m": m, "mean": st.mean,
-                            "sd": st.sd, "skewness": st.skewness,
-                            "kurtosis": st.kurtosis} for m, st in rows]}
-        _emit(args, json.dumps(doc, indent=2) + "\n")
-        return 0
-    out = io.StringIO()
-    for ln in _header(args):
-        out.write(ln + "\n")
-    out.write("beta,m,mean,sd,skewness,kurtosis\n")
-    for m, st in rows:
-        out.write(f"{beta},{m},{_fmt(st.mean)},{_fmt(st.sd)},"
-                  f"{_fmt(st.skewness)},{_fmt(st.kurtosis)}\n")
-    _emit(args, out.getvalue())
+    rows = [{"beta": t.beta, "m": t.m,
+             **dataclasses.asdict(dist.moments(t))}
+            for t in _tables(args, args.beta, args.m, _MOMENT_GRID,
+                             _MOMENT_X_LEFT)]
+    _write(args, {"moments": rows},
+           _csv(rows[0].keys(), (r.values() for r in rows)))
     return 0
 
 
-def _theory_tables(beta, top_k, args):
-    grid = _moment_grid()
-    cfg = _solver_config(args, s_min=float(grid[0]) - 0.5)
-    if top_k > cfg.jet_order:
-        raise ValueError("top-k exceeds the solver jet order")
-    sol = painleve.solve(cfg)
-    return [dist.cdf(dist.DistRequest(beta=beta, m=m, s_grid=grid), sol)
-            for m in range(1, top_k + 1)]
+def _report_doc(report):
+    return {"levels": list(report.percentiles),
+            "ordinates": [list(r) for r in report.ordinates],
+            "proportions": [list(r) for r in report.proportions]}
+
+
+def _report_csv(report):
+    columns = ["percentile"]
+    for j in range(1, len(report.ordinates[0]) + 1):
+        columns += [f"ordinate_{j}", f"proportion_{j}"]
+    rows = ([p] + [v for pair in zip(o, q) for v in pair]
+            for p, o, q in zip(report.percentiles, report.ordinates,
+                               report.proportions))
+    return _csv(columns, rows)
+
+
+def _percentile_report(args, beta, samples):
+    tables = _tables(args, beta, range(1, samples.shape[1] + 1),
+                     _MOMENT_GRID, _MOMENT_X_LEFT)
+    return rmt.percentile_report(samples, tables, args.percentiles)
 
 
 def _ensemble_config(args):
@@ -252,43 +234,24 @@ def cmd_simulate(args):
             f"error: {len(failures)} of {cfg.reps} reps failed "
             f"(first: rep {first.rep_index}: {first})\n")
         return 3
-    stats = [rmt.summarize(samples[:, j]) for j in range(cfg.top_k)]
-    report = None
+    stats = [dataclasses.asdict(rmt.summarize(col)) for col in samples.T]
+    doc = {"seed": cfg.seed, "ensemble": cfg.ensemble,
+           "failed_reps": len(failures),
+           "stats": [{"k": k, **st} for k, st in enumerate(stats, 1)],
+           "samples": samples.tolist()}
+    lines = [f"# failed reps: {len(failures)}"]
+    lines += [f"# stats k={k}: " + " ".join(f"{name}={_fmt(v)}"
+                                            for name, v in st.items())
+              for k, st in enumerate(stats, 1)]
+    lines += _csv(("rep", "k", "lhat"),
+                  ((i, j + 1, v) for i, row in enumerate(doc["samples"])
+                   for j, v in enumerate(row)))
     if args.percentiles:
-        beta = _ENSEMBLE_BETA[cfg.ensemble]
-        tables = _theory_tables(beta, cfg.top_k, args)
-        report = rmt.percentile_report(samples, tables, args.percentiles)
-    if args.json:
-        doc = {"version": __version__, "flags": args.raw_argv,
-               "seed": cfg.seed, "ensemble": cfg.ensemble,
-               "failed_reps": len(failures),
-               "stats": [{"k": j + 1, "mean": st.mean, "sd": st.sd,
-                          "skewness": st.skewness, "kurtosis": st.kurtosis}
-                         for j, st in enumerate(stats)],
-               "samples": [[float(v) for v in row] for row in samples]}
-        if report is not None:
-            doc["percentiles"] = {
-                "levels": list(report.percentiles),
-                "ordinates": [list(r) for r in report.ordinates],
-                "proportions": [list(r) for r in report.proportions]}
-        _emit(args, json.dumps(doc, indent=2) + "\n")
-        return 0
-    out = io.StringIO()
-    for ln in _header(args, seed=cfg.seed):
-        out.write(ln + "\n")
-    out.write(f"# failed reps: {len(failures)}\n")
-    for j, st in enumerate(stats):
-        out.write(f"# stats k={j + 1}: mean={_fmt(st.mean)} "
-                  f"sd={_fmt(st.sd)} skewness={_fmt(st.skewness)} "
-                  f"kurtosis={_fmt(st.kurtosis)}\n")
-    out.write("rep,k,lhat\n")
-    for i, row in enumerate(samples):
-        for j, v in enumerate(row):
-            out.write(f"{i},{j + 1},{_fmt(v)}\n")
-    if report is not None:
-        out.write("# percentile report\n")
-        report.to_csv(out)
-    _emit(args, out.getvalue())
+        report = _percentile_report(args, _ENSEMBLE_BETA[cfg.ensemble],
+                                    samples)
+        doc["percentiles"] = _report_doc(report)
+        lines += ["# percentile report"] + _report_csv(report)
+    _write(args, doc, lines)
     return 0
 
 
@@ -311,29 +274,20 @@ def _read_samples_csv(path):
             rows.setdefault(int(rep), {})[int(k)] = float(val)
     if not rows:
         raise ValueError("no samples found in input")
-    ks = sorted(next(iter(rows.values())))
-    data = np.array([[rows[r][k] for k in ks] for r in sorted(rows)])
-    return data
+    ks = sorted(set().union(*rows.values()))
+    for rep in sorted(rows):
+        missing = [k for k in ks if k not in rows[rep]]
+        if missing:
+            raise ValueError(f"incomplete samples: rep {rep} has no "
+                             f"k = {', '.join(map(str, missing))}")
+    return np.array([[rows[r][k] for k in ks] for r in sorted(rows)])
 
 
 def cmd_percentiles(args):
     samples = _read_samples_csv(args.input)
-    top_k = samples.shape[1]
-    tables = _theory_tables(args.beta, top_k, args)
-    report = rmt.percentile_report(samples, tables, args.percentiles)
-    if args.json:
-        doc = {"version": __version__, "flags": args.raw_argv,
-               "beta": args.beta,
-               "levels": list(report.percentiles),
-               "ordinates": [list(r) for r in report.ordinates],
-               "proportions": [list(r) for r in report.proportions]}
-        _emit(args, json.dumps(doc, indent=2) + "\n")
-        return 0
-    out = io.StringIO()
-    for ln in _header(args):
-        out.write(ln + "\n")
-    report.to_csv(out)
-    _emit(args, out.getvalue())
+    report = _percentile_report(args, args.beta, samples)
+    _write(args, {"beta": args.beta, **_report_doc(report)},
+           _report_csv(report))
     return 0
 
 
@@ -394,21 +348,14 @@ def cmd_verify(args):
     }
     rows = [(label, float(resid), tol)
             for label, resid, tol in checks[args.check]()]
-    ok = True
-    lines = []
-    for label, resid, tol in rows:
-        status = "PASS" if resid <= tol else "FAIL"
-        ok = ok and resid <= tol
-        lines.append(f"{label}: max residual {resid:.3e} "
-                     f"(threshold {tol:.0e}) {status}")
-    if args.json:
-        doc = {"version": __version__, "flags": args.raw_argv,
-               "check": args.check, "passed": ok,
-               "results": [{"label": l, "residual": r, "threshold": t}
-                           for l, r, t in rows]}
-        _emit(args, json.dumps(doc, indent=2) + "\n")
-    else:
-        _emit(args, "\n".join(lines) + "\n")
+    ok = all(resid <= tol for _, resid, tol in rows)
+    doc = {"check": args.check, "passed": ok,
+           "results": [{"label": label, "residual": resid, "threshold": tol}
+                       for label, resid, tol in rows]}
+    lines = [f"{label}: max residual {resid:.3e} (threshold {tol:.0e}) "
+             f"{'PASS' if resid <= tol else 'FAIL'}"
+             for label, resid, tol in rows]
+    _write(args, doc, lines)
     return 0 if ok else 1
 
 

@@ -60,11 +60,6 @@ class DistTable:
     beta: int
     m: int
 
-    def to_csv(self, fileobj):
-        fileobj.write("s,F,f\n")
-        for s, F, f in zip(self.s, self.F, self.f):
-            fileobj.write(f"{s:.14e},{F:.14e},{f:.14e}\n")
-
 
 @dataclasses.dataclass(frozen=True)
 class SummaryStats:
@@ -119,30 +114,6 @@ def _root4_of(bundle):
     # sqrt(D4) = e^{-I/2} cosh(J/2), split the same way
     return 0.5 * (jet_exp(0.5 * (bundle.J - bundle.I))
                   + jet_exp(-0.5 * (bundle.I + bundle.J)))
-
-
-def _d4_of(bundle):
-    r = _root4_of(bundle)
-    return jet_mul(r, r)
-
-
-def d2_jet(s, sol):
-    """Jet of D2(s, lambda) about lambda = 1.
-
-    Raises a range error (ValueError) left of the solved domain; beyond
-    x_right the solution's closed-form tail jets apply.
-    """
-    return _d2_of(sol.jet_at(s))
-
-
-def d1_jet(s, sol):
-    """Jet of D1(s, lambda) about lambda = 1 (composition through lt)."""
-    return _d1_of(sol.jet_at(s))
-
-
-def d4_jet(s, sol):
-    """Jet of D4(s, lambda) about lambda = 1."""
-    return _d4_of(sol.jet_at(s))
 
 
 def _root_of(bundle, beta):

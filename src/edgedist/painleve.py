@@ -200,19 +200,6 @@ class PainleveSolution:
         (jet_order + 1,).  See ``jets``."""
         return JetBundle(*(a[:, 0] for a in self.jets([float(s)])))
 
-    def to_csv(self, fileobj):
-        """Dump the solution grid: columns x, q0..qM, I0..IM, J0..JM."""
-        M = self.jet_order
-        cols = ["x"] + [f"q{k}" for k in range(M + 1)] \
-            + [f"I{k}" for k in range(M + 1)] + [f"J{k}" for k in range(M + 1)]
-        fileobj.write(",".join(cols) + "\n")
-        for i, x in enumerate(self.grid):
-            row = [f"{x:.14e}"]
-            row += [f"{self.q[k, i]:.14e}" for k in range(M + 1)]
-            row += [f"{self.I[k, i]:.14e}" for k in range(M + 1)]
-            row += [f"{self.J[k, i]:.14e}" for k in range(M + 1)]
-            fileobj.write(",".join(row) + "\n")
-
 
 class LambdaSolution(NamedTuple):
     """Order-0 quantities of the lambda-deformed problem on [x_left, x_right]."""

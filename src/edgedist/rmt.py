@@ -82,19 +82,6 @@ class PercentileReport:
     ordinates: tuple
     proportions: tuple
 
-    def to_csv(self, fileobj):
-        k = len(self.ordinates[0]) if self.ordinates else 0
-        cols = ["percentile"]
-        for j in range(k):
-            cols += [f"ordinate_{j + 1}", f"proportion_{j + 1}"]
-        fileobj.write(",".join(cols) + "\n")
-        for p, o, q in zip(self.percentiles, self.ordinates,
-                           self.proportions):
-            row = [f"{p:.15g}"]
-            for a, b in zip(o, q):
-                row += [f"{a:.15g}", f"{b:.15g}"]
-            fileobj.write(",".join(row) + "\n")
-
 
 def _rng(seed, rep_index):
     key = np.array([seed, rep_index], dtype=np.uint64)

@@ -59,9 +59,9 @@ def airy_kernel(x, y):
     K(x, x) = Ai'(x)^2 - x Ai(x)^2 is used at the midpoint, where the
     difference quotient would cancel catastrophically.  Broadcasts.
     """
+    # Ai and Ai' once per node; the products below broadcast
     xa = _check_range(x)
     ya = _check_range(y)
-    xa, ya = np.broadcast_arrays(xa, ya)
     aix, aipx, _, _ = special.airy(xa)
     aiy, aipy, _, _ = special.airy(ya)
     d = xa - ya
@@ -87,9 +87,9 @@ def airy_kernel_dy(x, y):
     with a Taylor branch about y = x below the confluent threshold:
     dK/dy|_{y=x} = -Ai(x)^2 / 2.
     """
+    # Ai and Ai' once per node; the products below broadcast
     xa = _check_range(x)
     ya = _check_range(y)
-    xa, ya = np.broadcast_arrays(xa, ya)
     aix, aipx, _, _ = special.airy(xa)
     aiy, aipy, _, _ = special.airy(ya)
     d = xa - ya

@@ -3,11 +3,12 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
-from edgedist import cli
+from edgedist import __version__, cli
 
 D2_AT_M2 = 4.132241425051321e-01
 
@@ -15,6 +16,13 @@ D2_AT_M2 = 4.132241425051321e-01
 def data_lines(text):
     return [ln for ln in text.strip().split("\n")
             if ln and not ln.startswith("#")]
+
+
+def assert_same(csv_rows, json_rows):
+    # CSV prints 15 significant digits, JSON the shortest exact repr
+    got = np.array([[float(v) for v in row.split(",")] for row in csv_rows])
+    np.testing.assert_allclose(got, np.array(list(json_rows), dtype=float),
+                               rtol=1e-14, atol=0.0)
 
 
 class TestArgumentErrors:
@@ -52,6 +60,14 @@ class TestArgumentErrors:
                          str(tmp_path / "nope.csv"), "--beta", "1",
                          "--percentiles", "0.9"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_ragged_samples(self, capsys, tmp_path):
+        # rep 1 lacks the k = 2 value rep 0 has
+        path = tmp_path / "ragged.csv"
+        path.write_text("0,1,-1.0\n0,2,-2.0\n1,1,-0.5\n")
+        assert cli.main(["percentiles", "--input", str(path), "--beta", "1",
+                         "--percentiles", "0.5"]) == 2
+        assert "rep 1" in capsys.readouterr().err
 
 
 def test_table_single_point(tmp_path):
@@ -180,6 +196,7 @@ def test_verify_aj(capsys):
     rc = cli.main(["verify", "--check", "aj"])
     out = capsys.readouterr().out
     assert rc == 0
+    assert out.startswith("# edgedist ")
     assert "aj jets vs recursion" in out
     assert "PASS" in out and "FAIL" not in out
 
@@ -212,3 +229,81 @@ def test_percentile_round_trip(tmp_path, capsys):
     assert got[0.5][0] < got[0.9][0]
     assert got[0.5][1] == pytest.approx(0.5, abs=0.12)
     assert got[0.9][1] == pytest.approx(0.9, abs=0.12)
+
+
+def test_csv_and_json_carry_the_same_numbers(capsys, tmp_path):
+    def run(argv):
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out
+
+    def both(argv):
+        text, doc = run(argv), json.loads(run(argv + ["--json"]))
+        head = [f"# edgedist {__version__}", "# flags: " + " ".join(argv)]
+        assert text.split("\n")[:2] == head
+        assert (doc["version"], doc["flags"]) == (__version__,
+                                                  argv + ["--json"])
+        return text, doc
+
+    def check_report(text, report):
+        columns, *rows = data_lines(text)
+        # one ordinate/proportion pair per eigenvalue index
+        assert columns == ("percentile,ordinate_1,proportion_1,"
+                           "ordinate_2,proportion_2")
+        assert_same(rows, ([p, o[0], q[0], o[1], q[1]] for p, o, q in
+                           zip(report["levels"], report["ordinates"],
+                               report["proportions"])))
+
+    text, doc = both(["table", "--beta", "2", "--m", "1,2", "--s-min", "-3",
+                      "--s-max", "0", "--s-step", "0.5"])
+    blocks = text.split("# beta=2 m=")[1:]
+    assert len(blocks) == len(doc["tables"]) == 2
+    for block, tab in zip(blocks, doc["tables"]):
+        m, columns, *rows = block.strip().split("\n")
+        assert (int(m), columns) == (tab["m"], "s,F,f")
+        assert_same(rows, zip(tab["s"], tab["F"], tab["f"]))
+
+    text, doc = both(["moments", "--beta", "2", "--m", "1,2"])
+    columns, *rows = data_lines(text)
+    assert columns.split(",") == list(doc["moments"][0])
+    assert_same(rows, (list(r.values()) for r in doc["moments"]))
+
+    argv = ["simulate", "--ensemble", "gue", "--n", "6", "--reps", "15",
+            "--seed", "4", "--top-k", "2", "--percentiles", "0.5,0.9"]
+    text, doc = both(argv)
+    assert text.split("\n")[2] == "# seed: 4" and doc["seed"] == 4
+    assert f"# failed reps: {doc['failed_reps']}" in text
+    stats = [ln.split(": ", 1)[1].split() for ln in text.split("\n")
+             if ln.startswith("# stats k=")]
+    assert len(stats) == len(doc["stats"]) == 2
+    for fields, st in zip(stats, doc["stats"]):
+        got = dict(f.split("=") for f in fields)
+        assert set(got) == set(st) - {"k"}
+        for key, v in got.items():
+            assert float(v) == pytest.approx(st[key], rel=1e-14)
+    sim, report = text.split("# percentile report\n")
+    columns, *rows = data_lines(sim)
+    assert columns == "rep,k,lhat"
+    assert_same(rows, ((i, k, v) for i, row in enumerate(doc["samples"])
+                       for k, v in enumerate(row, 1)))
+    check_report(report, doc["percentiles"])
+
+    samples = tmp_path / "samples.csv"
+    samples.write_text(text)
+    text, rdoc = both(["percentiles", "--input", str(samples), "--beta", "2",
+                       "--percentiles", "0.5,0.9"])
+    check_report(text, rdoc)
+    assert rdoc["beta"] == 2
+    # the re-read sample reproduces the simulation's own report
+    assert {k: rdoc[k] for k in doc["percentiles"]} == doc["percentiles"]
+
+    text, doc = both(["verify", "--check", "aj"])
+    lines = text.strip().split("\n")[2:]
+    assert len(lines) == len(doc["results"]) == 1
+    for ln, res in zip(lines, doc["results"]):
+        label, resid, tol, status = re.fullmatch(
+            r"(.*): max residual (\S+) \(threshold (\S+)\) (PASS|FAIL)",
+            ln).groups()
+        assert label == res["label"]
+        assert float(resid) == pytest.approx(res["residual"], rel=5e-3)
+        assert float(tol) == res["threshold"]
+        assert (status == "PASS") == doc["passed"]

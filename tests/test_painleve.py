@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -196,18 +195,6 @@ class TestSolutionAccess:
     def test_jet_order_property(self, sol_default, sol_order2):
         assert sol_default.jet_order == 4
         assert sol_order2.jet_order == 2
-
-    def test_to_csv_shape(self, sol_order2):
-        buf = io.StringIO()
-        sol_order2.to_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
-        header = lines[0].split(",")
-        assert header[0] == "x"
-        assert len(header) == 1 + 3 * 3
-        assert len(lines) - 1 == sol_order2.grid.size
-        row = [float(tok) for tok in lines[1].split(",")]
-        assert row[0] == pytest.approx(sol_order2.grid[0])
-
 
 class TestLambdaSolve:
     def test_lambda_zero_is_zero(self):

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -258,15 +257,3 @@ class TestPercentiles:
             o = rmt._invert_cdf(table, p)
             back = np.interp(o, table.s, table.F)
             assert back == pytest.approx(p, abs=5e-3)
-
-    def test_csv_layout(self, normal_table):
-        report = rmt.percentile_report(np.zeros((4, 2)),
-                                       [normal_table, normal_table],
-                                       (0.5,))
-        buf = io.StringIO()
-        report.to_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == ("percentile,ordinate_1,proportion_1,"
-                            "ordinate_2,proportion_2")
-        assert len(lines) == 2
-        assert lines[1].startswith("0.5,")
