@@ -189,26 +189,22 @@ def cmd_moments(args):
     return 0
 
 
-def _report_doc(report):
-    return {"levels": list(report.percentiles),
-            "ordinates": [list(r) for r in report.ordinates],
-            "proportions": [list(r) for r in report.proportions]}
-
-
-def _report_csv(report):
+def _percentile_report(args, beta, samples, ks):
+    """Percentile report of sample columns holding the k-th largest
+    eigenvalue for each k in ``ks``, column k against F_beta(s, k);
+    returns (JSON doc, CSV lines)."""
+    tables = _tables(args, beta, ks, _MOMENT_GRID, _MOMENT_X_LEFT)
+    report = rmt.percentile_report(samples, tables, args.percentiles)
+    doc = {"k": list(ks), "levels": list(report.percentiles),
+           "ordinates": [list(r) for r in report.ordinates],
+           "proportions": [list(r) for r in report.proportions]}
     columns = ["percentile"]
-    for j in range(1, len(report.ordinates[0]) + 1):
-        columns += [f"ordinate_{j}", f"proportion_{j}"]
+    for k in ks:
+        columns += [f"ordinate_{k}", f"proportion_{k}"]
     rows = ([p] + [v for pair in zip(o, q) for v in pair]
             for p, o, q in zip(report.percentiles, report.ordinates,
                                report.proportions))
-    return _csv(columns, rows)
-
-
-def _percentile_report(args, beta, samples):
-    tables = _tables(args, beta, range(1, samples.shape[1] + 1),
-                     _MOMENT_GRID, _MOMENT_X_LEFT)
-    return rmt.percentile_report(samples, tables, args.percentiles)
+    return doc, _csv(columns, rows)
 
 
 def _ensemble_config(args):
@@ -247,10 +243,10 @@ def cmd_simulate(args):
                   ((i, j + 1, v) for i, row in enumerate(doc["samples"])
                    for j, v in enumerate(row)))
     if args.percentiles:
-        report = _percentile_report(args, _ENSEMBLE_BETA[cfg.ensemble],
-                                    samples)
-        doc["percentiles"] = _report_doc(report)
-        lines += ["# percentile report"] + _report_csv(report)
+        doc["percentiles"], report = _percentile_report(
+            args, _ENSEMBLE_BETA[cfg.ensemble], samples,
+            range(1, cfg.top_k + 1))
+        lines += ["# percentile report"] + report
     _write(args, doc, lines)
     return 0
 
@@ -262,6 +258,7 @@ def cmd_wishart(args):
 
 
 def _read_samples_csv(path):
+    """(k values, samples array with one column per k) of a sample CSV."""
     rows = {}
     with open(path) as fh:
         for line in fh:
@@ -271,7 +268,12 @@ def _read_samples_csv(path):
             if line.startswith("percentile"):
                 break
             rep, k, val = line.split(",")
-            rows.setdefault(int(rep), {})[int(k)] = float(val)
+            rep, k = int(rep), int(k)
+            row = rows.setdefault(rep, {})
+            if k in row:
+                raise ValueError(f"duplicate sample: rep {rep} has two "
+                                 f"k = {k} lines")
+            row[k] = float(val)
     if not rows:
         raise ValueError("no samples found in input")
     ks = sorted(set().union(*rows.values()))
@@ -280,14 +282,13 @@ def _read_samples_csv(path):
         if missing:
             raise ValueError(f"incomplete samples: rep {rep} has no "
                              f"k = {', '.join(map(str, missing))}")
-    return np.array([[rows[r][k] for k in ks] for r in sorted(rows)])
+    return ks, np.array([[rows[r][k] for k in ks] for r in sorted(rows)])
 
 
 def cmd_percentiles(args):
-    samples = _read_samples_csv(args.input)
-    report = _percentile_report(args, args.beta, samples)
-    _write(args, {"beta": args.beta, **_report_doc(report)},
-           _report_csv(report))
+    ks, samples = _read_samples_csv(args.input)
+    doc, lines = _percentile_report(args, args.beta, samples, ks)
+    _write(args, {"beta": args.beta, **doc}, lines)
     return 0
 
 

@@ -122,6 +122,57 @@ class JetBundle(NamedTuple):
     J: np.ndarray
 
 
+class _Dop853Dense(NamedTuple):
+    """Dense output of a DOP853 ``solve_ivp`` run, stacked over its steps.
+
+    Evaluates the same piecewise interpolant as the ``OdeSolution`` it was
+    built from, with the same floating-point operations in the same order,
+    so the values are bit-identical; but all points go through one
+    ``searchsorted`` and one Horner-type loop instead of one Python call
+    per step.  Fields are ordered by ascending breakpoint: ``ts`` holds
+    the n + 1 breakpoints, row i of ``t_old``, ``h``, ``y_old`` and of
+    each ``F[k]`` the data of the step between ``ts[i]`` and ``ts[i + 1]``.
+    """
+    ts: np.ndarray
+    t_old: np.ndarray
+    h: np.ndarray
+    y_old: np.ndarray
+    F: np.ndarray
+    side: str
+
+    @classmethod
+    def from_solution(cls, sol):
+        """Stack the step data of ``OdeSolution`` ``sol``; SolverError
+        unless every interpolant is scipy's DOP853 dense output."""
+        kinds = {type(d).__name__ for d in sol.interpolants}
+        if kinds != {"Dop853DenseOutput"}:
+            raise SolverError(f"jet sweep: expected DOP853 dense output, "
+                              f"got {sorted(kinds)}")
+        # OdeSolution breaks ties at a breakpoint towards the step that
+        # ends there: side "left" when ascending, "right" when descending
+        ts, steps, side = sol.ts, sol.interpolants, "left"
+        if ts[-1] < ts[0]:
+            ts, steps, side = ts[::-1], steps[::-1], "right"
+        return cls(ts=np.array(ts),
+                   t_old=np.array([d.t_old for d in steps]),
+                   h=np.array([d.h for d in steps]),
+                   y_old=np.array([d.y_old for d in steps]),
+                   F=np.stack([d.F for d in steps], axis=1), side=side)
+
+    def __call__(self, t):
+        """States at a 1-d array of points, shape (n_states, t.size)."""
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.ts, t, side=self.side) - 1,
+                    0, self.h.size - 1)
+        x = ((t - self.t_old[i]) / self.h[i])[:, None]
+        y = np.zeros((t.size, self.y_old.shape[1]))
+        for k, f in enumerate(self.F[::-1]):
+            y += f[i]
+            y *= x if k % 2 == 0 else 1 - x
+        y += self.y_old[i]
+        return y.T
+
+
 def _evaluate(dense, x, order):
     """(5, order + 1, x.size) jets from the order-0 collocation solution
     and, for order >= 1, the dense output of the jet sweep."""
@@ -383,7 +434,7 @@ def solve(config=None):
                                     atol=1e-20, dense_output=True)
         if not sweep.success:
             raise SolverError(f"jet sweep failed: {sweep.message}")
-        dense.append(sweep.sol)
+        dense.append(_Dop853Dense.from_solution(sweep.sol))
         diagnostics["sweep"] = {"steps": sweep.t.size}
 
     # ---- sample everything on the uniform output grid

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from .dist import SummaryStats
 
@@ -234,11 +233,17 @@ def summarize(samples):
     sd = float(np.std(arr, ddof=1))
     if sd == 0.0:
         raise ValueError("constant sample, moments undefined")
+    # the biased central-moment ratios of scipy.stats.skew and kurtosis,
+    # with their products d^2 d and d^2 d^2, so the digits match too
+    mean = float(np.mean(arr))
+    d = arr - mean
+    d2 = d * d
+    m2, m3, m4 = (float(np.mean(v)) for v in (d2, d2 * d, d2 * d2))
     return SummaryStats(
-        mean=float(np.mean(arr)),
+        mean=mean,
         sd=sd,
-        skewness=float(stats.skew(arr)),
-        kurtosis=float(stats.kurtosis(arr)),
+        skewness=m3 / m2 ** 1.5,
+        kurtosis=m4 / m2 ** 2 - 3.0,
     )
 
 

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from edgedist import __version__, cli
+from edgedist import __version__, cli, rmt
 
 D2_AT_M2 = 4.132241425051321e-01
 
@@ -68,6 +68,15 @@ class TestArgumentErrors:
         assert cli.main(["percentiles", "--input", str(path), "--beta", "1",
                          "--percentiles", "0.5"]) == 2
         assert "rep 1" in capsys.readouterr().err
+
+    def test_duplicate_samples(self, capsys, tmp_path):
+        # rep 0 has two k = 1 lines; neither may be dropped silently
+        path = tmp_path / "dup.csv"
+        path.write_text("0,1,-1.0\n0,1,-2.0\n1,1,-0.5\n")
+        assert cli.main(["percentiles", "--input", str(path), "--beta", "1",
+                         "--percentiles", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "duplicate" in err and "rep 0" in err and "k = 1" in err
 
 
 def test_table_single_point(tmp_path):
@@ -229,6 +238,26 @@ def test_percentile_round_trip(tmp_path, capsys):
     assert got[0.5][0] < got[0.9][0]
     assert got[0.5][1] == pytest.approx(0.5, abs=0.12)
     assert got[0.9][1] == pytest.approx(0.9, abs=0.12)
+
+
+def test_percentiles_use_the_k_read(capsys, tmp_path, beta2_tables):
+    # a file of second-largest eigenvalues only is read against
+    # F_2(s, 2), not against the law of the largest
+    path = tmp_path / "k2only.csv"
+    path.write_text("".join(f"{rep},2,{v}\n" for rep, v in
+                            enumerate((-3.0, -4.5, -4.1, -3.2))))
+    argv = ["percentiles", "--input", str(path), "--beta", "2",
+            "--percentiles", "0.5"]
+    assert cli.main(argv) == 0
+    columns, row = data_lines(capsys.readouterr().out)
+    assert columns == "percentile,ordinate_2,proportion_2"
+    assert cli.main(argv + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["k"] == [2]
+    medians = [rmt._invert_cdf(t, 0.5) for t in beta2_tables]
+    assert doc["ordinates"] == [[pytest.approx(medians[1], rel=1e-12)]]
+    assert abs(medians[1] - medians[0]) > 1.0
+    assert doc["proportions"] == [[0.5]]
 
 
 def test_csv_and_json_carry_the_same_numbers(capsys, tmp_path):

@@ -188,6 +188,29 @@ class TestSolutionAccess:
         assert b.I[0] == b.I[1]
         assert b.I[2] == 0.0
 
+    def test_jets_at_domain_ends(self, sol_default):
+        xl, xr = sol_default.config.x_left, sol_default.config.x_right
+        pts = np.array([xr + 1e-9, xl, xr, xr - 1e-9])
+        got = sol_default.jets(pts)
+        for name in got._fields:
+            a, grid = getattr(got, name), getattr(sol_default, name)
+            # the output grid runs from x_left to x_right
+            assert np.array_equal(a[:, 1:3], grid[:, [0, -1]])
+            # a point's jets do not depend on the other points asked for
+            for j, x in enumerate(pts):
+                alone = getattr(sol_default.jets(pts[j:j + 1]), name)
+                assert np.array_equal(a[:, j], alone[:, 0])
+            # the closed-form tail continues the solve across x_right
+            np.testing.assert_allclose(a[:, [0, 3]], a[:, [2, 2]],
+                                       rtol=1e-6, atol=1e-13)
+        # the sweep's dense output at its start reproduces the start
+        # values exactly: orders >= 1 of q are binom(1/2, k) Ai(x_right)
+        b = np.array(painleve.sqrt_lambda_coeffs(4)[1:])
+        assert np.array_equal(got.q[1:, 2], b * specfun.airy(xr).ai)
+        assert np.array_equal(got.qprime[1:, 2], b * specfun.airy(xr).aip)
+        assert got.q[0, 1] == pytest.approx(
+            painleve.q0_asymptotic(-2.0 * xl), rel=1e-10)
+
     def test_arrays_frozen(self, sol_default):
         with pytest.raises(ValueError):
             sol_default.q[0][0] = 1.0
@@ -213,3 +236,53 @@ class TestLambdaSolve:
             painleve.solve_at_lambda(1.0)
         with pytest.raises(ValueError):
             painleve.solve_at_lambda(-0.1)
+
+
+def _small_sweep(t_span, method="DOP853"):
+    # Airy's equation plus a quadratic integral: a few dozen steps
+    return integrate.solve_ivp(
+        lambda x, y: [y[1], x * y[0], -y[0] ** 2], t_span,
+        [special.airy(t_span[0])[0], special.airy(t_span[0])[1], 0.0],
+        method=method, rtol=1e-10, atol=1e-14, dense_output=True)
+
+
+class TestDenseSweep:
+    """The stacked DOP853 evaluator must reproduce scipy's OdeSolution
+    bit for bit; a change in scipy's dense-output internals fails here."""
+
+    @pytest.mark.parametrize("t_span", [(2.0, -4.0), (-4.0, 2.0)])
+    def test_equals_ode_solution(self, t_span):
+        res = _small_sweep(t_span)
+        assert res.t.size > 10
+        ev = painleve._Dop853Dense.from_solution(res.sol)
+        lo, hi = min(t_span), max(t_span)
+        # unsorted interior points, every breakpoint (both ends among
+        # them), and points just outside
+        pts = np.concatenate([
+            np.random.default_rng(3).uniform(lo, hi, 2000), res.t[::-1],
+            res.t, [lo - 0.1, hi + 0.1]])
+        assert np.array_equal(ev(pts), res.sol(pts))
+        for t in (lo, hi, res.t[res.t.size // 2], 0.3):
+            one = ev(np.array([t]))
+            assert one.shape == (3, 1)
+            assert np.array_equal(one, res.sol(np.array([t])))
+            assert np.array_equal(one[:, 0], res.sol(t))
+
+    def test_breakpoint_ties(self):
+        # steps of random data disagree where they meet, so only
+        # OdeSolution's choice of step at a breakpoint gives its values
+        from scipy.integrate._ivp.rk import Dop853DenseOutput
+        rng = np.random.default_rng(4)
+        for sign in (1.0, -1.0):
+            ts = sign * np.cumsum(rng.uniform(0.1, 1.0, 9))
+            sol = integrate.OdeSolution(ts, [
+                Dop853DenseOutput(a, b, rng.standard_normal(2),
+                                  rng.standard_normal((7, 2)))
+                for a, b in zip(ts[:-1], ts[1:])])
+            ev = painleve._Dop853Dense.from_solution(sol)
+            assert np.array_equal(ev(ts), sol(ts))
+
+    def test_rejects_other_interpolants(self):
+        res = _small_sweep((2.0, -4.0), method="RK45")
+        with pytest.raises(painleve.SolverError, match="DOP853"):
+            painleve._Dop853Dense.from_solution(res.sol)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -199,6 +202,17 @@ class TestSummaries:
         assert got.skewness == 0.0
         assert got.kurtosis == -2.0
 
+    def test_matches_scipy_stats(self):
+        # summarize keeps scipy.stats' biased defaults without importing it
+        gen = np.random.Generator(np.random.Philox(key=[2, 0]))
+        for vals in (gen.standard_normal(500), gen.gamma(2.0, size=37),
+                     -3.0 + 0.1 * gen.gumbel(size=4000)):
+            got = rmt.summarize(vals)
+            assert got.skewness == pytest.approx(stats.skew(vals),
+                                                 rel=1e-12)
+            assert got.kurtosis == pytest.approx(stats.kurtosis(vals),
+                                                 rel=1e-12)
+
     def test_normal_limits(self):
         vals = np.random.Generator(np.random.Philox(key=[1, 0])) \
             .standard_normal(200000)
@@ -257,3 +271,13 @@ class TestPercentiles:
             o = rmt._invert_cdf(table, p)
             back = np.interp(o, table.s, table.F)
             assert back == pytest.approx(p, abs=5e-3)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about a third of a second to import; nothing
+    # the command line runs needs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rmt.__file__)))
+    code = "import sys, edgedist.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True, cwd=src)
+    assert out.stdout.strip() == "False"
