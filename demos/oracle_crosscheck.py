@@ -10,12 +10,15 @@ import math
 from edgedist import oracle, painleve
 
 
+S_VALUES = (-6.0, -4.0, -2.0, 0.0, 2.0)
+
+
 def main():
     sol = painleve.solve()
 
     print("D2(s) = det(I - K_Ai) on L2(s, inf):")
     print("  s     Painleve            Nystrom             |diff|")
-    for s in (-6.0, -4.0, -2.0, 0.0, 2.0):
+    for s in S_VALUES:
         a = math.exp(-sol.jet_at(s).I[0])
         b = oracle.nystrom_d2(s)
         print("%5.1f   %.15f   %.15f   %.2e" % (s, a, b, abs(a - b)))
@@ -27,8 +30,9 @@ def main():
         b = oracle.nystrom_d2(s, lam=0.5)
         print("%5.1f   %.15f   %.15f   %.2e" % (s, a, b, abs(a - b)))
 
-    print("\nD4(s) via the 2x2 block kernel (slower):")
-    for s in (-2.0, 0.0):
+    print("\nD4(s) = (det(I - K_1) + det(I + K_1))^2 / 4 with the "
+          "Ferrari-Spohn kernel K_1:")
+    for s in S_VALUES:
         bundle = sol.jet_at(s)
         a = math.exp(-bundle.I[0]) \
             * math.cosh(bundle.J[0] / 2.0) ** 2

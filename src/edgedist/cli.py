@@ -311,7 +311,7 @@ def _verify_oracle(args):
         i0 = half.at(s)[2]
         r2 = max(r2, abs(math.exp(-i0) - oracle.nystrom_d2(s, 0.5, 200)))
     r3 = 0.0
-    for s in (-2.0, 0.0):
+    for s in pts:
         b = sol.jet_at(s)
         closed = math.exp(-b.I[0]) * math.cosh(b.J[0] / 2.0) ** 2
         r3 = max(r3, abs(closed - oracle.nystrom_d4(s, 200)))

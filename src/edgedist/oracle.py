@@ -2,7 +2,10 @@
 
 Independent of the ODE route: the operators are discretized on
 Gauss-Legendre nodes mapped to (s, inf) and the determinant is taken of
-the resulting finite matrix.  Agreement with the Painleve closed forms
+the resulting finite matrix.  D2 uses the Airy kernel; D4 uses the
+Ferrari-Spohn identity, which writes sqrt(D4) as the mean of
+det(I - K_1) and det(I + K_1) with the scalar kernel
+K_1(x, y) = Ai((x + y)/2)/2.  Agreement with the Painleve closed forms
 is the main cross-validation of both implementations.
 """
 
@@ -17,7 +20,6 @@ from . import specfun
 # where the kernels live
 _L = 10.0
 _MAX_NODES = 2000
-_INNER_NODES = 120
 
 
 class QuadratureRule(NamedTuple):
@@ -85,61 +87,30 @@ def nystrom_d2(s, lam=1.0, n=200):
     return _logdet(a)
 
 
-def _d4_lambda(s, lam, n):
-    # 2x2 block kernel on L^2 + L^2; not symmetric, so only the
-    # similarity-scaled W^{1/2} K W^{1/2} form is used
+def _ferrari_spohn(s, n):
+    # W^{1/2} K_1 W^{1/2} with the Ferrari-Spohn kernel
+    # K_1(x, y) = Ai((x + y)/2)/2; symmetric, and no range check on s
     x, w = _truncate(build_rule(s, n))
-    m = x.size
-    ai, aip = specfun.airy(x)
-    tail = specfun.ai_tail(x)
+    sq = np.sqrt(w)
+    kern = 0.5 * specfun.airy(0.5 * (x[:, None] + x[None, :])).ai
+    return sq[:, None] * kern * sq[None, :]
 
-    kern = specfun.airy_kernel(x[:, None], x[None, :])
-    kern_dy = specfun.airy_kernel_dy(x[:, None], x[None, :])
 
-    # int_x^inf K_Airy(z, y) dz, inner rule per row; Ai and Ai' at every
-    # inner node z are evaluated once, and the kernel's confluent branch
-    # is added after the row loop for the rare |z - y| below its threshold
-    v, wv = np.polynomial.legendre.leggauss(_INNER_NODES)
-    v = 0.5 * (v + 1.0)
-    jac = 0.5 * wv * _L / (1.0 - v) ** 2
-    z = x[:, None] + _L * v / (1.0 - v)
-    zkeep = z <= specfun.XMAX
-    aiz = np.zeros_like(z)
-    aipz = np.zeros_like(z)
-    aiz[zkeep], aipz[zkeep] = specfun.airy(z[zkeep])
-    kint = np.empty((m, m))
-    confluent = []
-    for i in range(m):
-        keep = zkeep[i]
-        d = z[i, keep, None] - x[None, :]
-        near = np.abs(d) < specfun.CONFLUENT_EPS
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = (aiz[i, keep, None] * aip[None, :]
-                 - aipz[i, keep, None] * ai[None, :]) / d
-        if np.any(near):
-            r, c = np.nonzero(near)
-            confluent.append((i, jac[keep][r], z[i, keep][r], c))
-            k[near] = 0.0
-        kint[i] = jac[keep] @ k
-    for i, wz, zc, c in confluent:
-        np.add.at(kint[i], c, wz * specfun.airy_kernel(zc, x[c]))
-
-    s4 = kern - 0.5 * ai[:, None] * tail[None, :]
-    sd4 = -kern_dy - 0.5 * ai[:, None] * ai[None, :]
-    is4 = -kint + 0.5 * tail[:, None] * tail[None, :]
-    s4t = kern - 0.5 * tail[:, None] * ai[None, :]
-
-    k4 = 0.5 * np.block([[s4, sd4], [is4, s4t]])
-    sq = np.sqrt(np.concatenate([w, w]))
-    a = np.eye(2 * m) - lam * (sq[:, None] * k4 * sq[None, :])
-    return _logdet(a)
+def _d4_lambda(s, lam, n):
+    # Ferrari-Spohn: sqrt(D4(s, lam)) is the mean of det(I - r K_1) and
+    # det(I + r K_1) with r = sqrt(lam)
+    a = math.sqrt(lam) * _ferrari_spohn(s, n)
+    eye = np.eye(a.shape[0])
+    return (0.5 * (_logdet(eye - a) + _logdet(eye + a))) ** 2
 
 
 def nystrom_d4(s, n=200):
     """det(I - K4) on (s, inf) + (s, inf); lambda fixed at 1.
 
     Its square root is F4(s, 1) in the convention without the sqrt(2)
-    argument rescaling.
+    argument rescaling.  Computed through the Ferrari-Spohn identity
+    sqrt(det(I - K4)) = (det(I - K_1) + det(I + K_1)) / 2 with the
+    symmetric scalar kernel K_1(x, y) = Ai((x + y)/2)/2 on (s, inf).
     """
     _check_args(s, n)
     return _d4_lambda(s, 1.0, n)

@@ -249,7 +249,7 @@ def summarize(samples):
 
 def _invert_cdf(table, p):
     f, s = table.F, table.s
-    if p < f[0] or p > f[-1]:
+    if not f[0] <= p <= f[-1]:
         raise ValueError(
             f"range error: percentile {p} outside table mass "
             f"[{f[0]:.3g}, {f[-1]:.3g}]")

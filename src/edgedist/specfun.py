@@ -1,9 +1,9 @@
 """Airy functions, the Airy kernel, and Airy tail integrals.
 
 Double-precision Ai and Ai' on the working range [-60, 60], the Airy
-kernel with a confluent branch near the diagonal, the analytic kernel
-y-derivative, and the tail integrals of Ai, Ai^2 and (u-x)Ai^2 that seed
-boundary data elsewhere in the package.
+kernel with a confluent branch near the diagonal, and the tail integrals
+of Ai, Ai^2 and (u-x)Ai^2 that seed boundary data elsewhere in the
+package.
 """
 
 from typing import NamedTuple
@@ -77,33 +77,6 @@ def airy_kernel(x, y):
     if k.ndim == 0:
         return float(k)
     return k
-
-
-def airy_kernel_dy(x, y):
-    """Partial derivative of the Airy kernel in its second argument.
-
-    Uses the closed form
-    dK/dy = (y Ai(x)Ai(y) - Ai'(x)Ai'(y) + K(x, y)) / (x - y),
-    with a Taylor branch about y = x below the confluent threshold:
-    dK/dy|_{y=x} = -Ai(x)^2 / 2.
-    """
-    # Ai and Ai' once per node; the products below broadcast
-    xa = _check_range(x)
-    ya = _check_range(y)
-    aix, aipx, _, _ = special.airy(xa)
-    aiy, aipy, _, _ = special.airy(ya)
-    d = xa - ya
-    near = np.abs(d) < CONFLUENT_EPS
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = (aix * aipy - aipx * aiy) / d
-        kdy = (ya * aix * aiy - aipx * aipy + k) / d
-    if np.any(near):
-        # N(y) = Ai(x)Ai'(y) - Ai'(x)Ai(y);  dK/dy = -N''/2 - N'''(y-x)/3 + ...
-        nppp = aix * aipx + xa * xa * aix * aix - xa * aipx * aipx
-        kdy = np.where(near, -0.5 * aix * aix - nppp * (ya - xa) / 3.0, kdy)
-    if kdy.ndim == 0:
-        return float(kdy)
-    return kdy
 
 
 # Gauss-Laguerre rule for the tail integral at x >= _LAGUERRE_FROM: in

@@ -78,6 +78,12 @@ class TestArgumentErrors:
         err = capsys.readouterr().err
         assert "duplicate" in err and "rep 0" in err and "k = 1" in err
 
+    def test_nan_percentile(self, capsys):
+        assert cli.main(["simulate", "--ensemble", "goe", "--n", "50",
+                         "--reps", "20", "--percentiles", "nan"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
 
 def test_table_single_point(tmp_path):
     out = tmp_path / "point.csv"

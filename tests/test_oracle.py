@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from edgedist import dist, oracle, specfun
+from edgedist import dist, oracle
 from test_acceptance import BETA1_MOMENTS
 
 # values fixed by earlier runs of this module at n = 200; guards against
@@ -75,10 +75,8 @@ def test_monotone_in_s_and_lambda():
 def _f1_det(s):
     # Ferrari-Spohn: F_1(s) = det(I - K_1) on L^2(s, inf) with
     # K_1(x, y) = Ai((x + y)/2)/2, discretized on the oracle's rule
-    x, w = oracle._truncate(oracle.build_rule(s, 40))
-    sq = np.sqrt(w)
-    kern = 0.5 * specfun.airy(0.5 * (x[:, None] + x[None, :])).ai
-    return oracle._logdet(np.eye(x.size) - sq[:, None] * kern * sq[None, :])
+    a = oracle._ferrari_spohn(s, 40)
+    return oracle._logdet(np.eye(a.shape[0]) - a)
 
 
 def test_f1_determinant_matches_pipeline(sol_default):

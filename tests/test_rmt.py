@@ -254,6 +254,12 @@ class TestPercentiles:
         with pytest.raises(ValueError, match="range error"):
             rmt._invert_cdf(short, 0.99)
 
+    def test_nan_level_is_out_of_mass(self, normal_table):
+        # NaN fails every comparison, so it must not slip past the check
+        with pytest.raises(ValueError, match="outside table mass"):
+            rmt.percentile_report(np.zeros((3, 1)), [normal_table],
+                                  [float("nan")])
+
     def test_report_against_exact_law(self, normal_table):
         rng = np.random.Generator(np.random.Philox(key=[2, 0]))
         samples = rng.standard_normal((50000, 1))

@@ -117,21 +117,6 @@ def test_kernel_diagonal_positive():
     assert np.all(diag > 0.0)
 
 
-def test_kernel_dy_matches_finite_difference():
-    h = 1e-5
-    for x, y in ((-2.0, 1.0), (0.5, -3.0), (2.0, 2.5)):
-        fd = (specfun.airy_kernel(x, y + h)
-              - specfun.airy_kernel(x, y - h)) / (2.0 * h)
-        assert specfun.airy_kernel_dy(x, y) == pytest.approx(fd, abs=1e-8)
-
-
-def test_kernel_dy_diagonal():
-    x = 1.3
-    ai = specfun.airy(x).ai
-    assert specfun.airy_kernel_dy(x, x) == pytest.approx(
-        -0.5 * ai * ai, rel=1e-9)
-
-
 def test_ai_tail_at_zero():
     # integral of Ai over (0, inf) is exactly 1/3
     assert specfun.ai_tail(0.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
