@@ -12,7 +12,7 @@ matrices.
 __version__ = "0.1.0"
 
 from . import specfun, jet, painleve, dist, oracle, rmt
-from .jet import jet_compose, aj_sequence
+from .jet import aj_sequence
 from .painleve import SolverConfig, PainleveSolution, solve
 from .dist import DistRequest, DistTable, SummaryStats, cdf, moments
 from .rmt import EnsembleConfig, SpectrumSample, sample_spectrum, wishart_spectrum
@@ -20,7 +20,7 @@ from .rmt import EnsembleConfig, SpectrumSample, sample_spectrum, wishart_spectr
 __all__ = [
     "__version__",
     "specfun", "jet", "painleve", "dist", "oracle", "rmt",
-    "jet_compose", "aj_sequence",
+    "aj_sequence",
     "SolverConfig", "PainleveSolution", "solve",
     "DistRequest", "DistTable", "SummaryStats", "cdf", "moments",
     "EnsembleConfig", "SpectrumSample", "sample_spectrum", "wishart_spectrum",

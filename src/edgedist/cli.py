@@ -45,13 +45,14 @@ def _parse_m_list(text):
     return ms
 
 
-def _parse_float_list(text):
+def _parse_levels(text):
     try:
         vals = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError("expected a comma list of numbers")
-    if not vals:
-        raise argparse.ArgumentTypeError("empty list")
+    if not vals or not all(0.0 <= p <= 1.0 for p in vals):
+        raise argparse.ArgumentTypeError("expected percentile levels in "
+                                         "[0, 1]")
     return vals
 
 
@@ -59,19 +60,8 @@ def _add_solver_flags(sp):
     d = painleve.SolverConfig()
     sp.add_argument("--solver.x-left", dest="solver_x_left", type=float,
                     default=d.x_left, help="left end of the solve interval")
-    sp.add_argument("--solver.x-right", dest="solver_x_right", type=float,
-                    default=d.x_right, help="right end of the solve interval")
-    sp.add_argument("--solver.patch-point", dest="solver_patch_point",
-                    type=float, default=d.patch_point,
-                    help="where the asymptotic guess takes over")
-    sp.add_argument("--solver.grid-step", dest="solver_grid_step",
-                    type=float, default=d.grid_step,
-                    help="output grid spacing")
     sp.add_argument("--solver.jet-order", dest="solver_jet_order", type=int,
                     default=d.jet_order, help="highest lambda-jet order")
-    sp.add_argument("--solver.ode-tolerance", dest="solver_ode_tolerance",
-                    type=float, default=d.ode_tolerance,
-                    help="integrator tolerance")
 
 
 def _add_output_flags(sp):
@@ -85,14 +75,8 @@ def _solver_config(args, s_min=None):
     x_left = args.solver_x_left
     if s_min is not None and s_min < x_left:
         x_left = s_min
-    return painleve.SolverConfig(
-        x_right=args.solver_x_right,
-        x_left=x_left,
-        patch_point=args.solver_patch_point,
-        grid_step=args.solver_grid_step,
-        jet_order=args.solver_jet_order,
-        ode_tolerance=args.solver_ode_tolerance,
-    )
+    return painleve.SolverConfig(x_left=x_left,
+                                 jet_order=args.solver_jet_order)
 
 
 def _write(args, doc, lines):
@@ -274,6 +258,9 @@ def _read_samples_csv(path):
                 raise ValueError(f"duplicate sample: rep {rep} has two "
                                  f"k = {k} lines")
             row[k] = float(val)
+            if not math.isfinite(row[k]):
+                raise ValueError(f"non-finite sample: rep {rep} k = {k} "
+                                 f"is {val.strip()}")
     if not rows:
         raise ValueError("no samples found in input")
     ks = sorted(set().union(*rows.values()))
@@ -403,7 +390,7 @@ def build_parser():
         sp.add_argument("--reps", type=int, required=True)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--top-k", dest="top_k", type=int, default=1)
-        sp.add_argument("--percentiles", type=_parse_float_list,
+        sp.add_argument("--percentiles", type=_parse_levels,
                         default=None,
                         help="emit a percentile report at these levels")
         _add_solver_flags(sp)
@@ -421,7 +408,7 @@ def build_parser():
                         help="percentile report for an existing sample CSV")
     sp.add_argument("--input", required=True, help="samples CSV path")
     sp.add_argument("--beta", type=int, choices=_BETAS, required=True)
-    sp.add_argument("--percentiles", type=_parse_float_list, required=True)
+    sp.add_argument("--percentiles", type=_parse_levels, required=True)
     _add_solver_flags(sp)
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_percentiles)

@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy.integrate import simpson
 
-from .jet import jet_compose, jet_exp, jet_mul, jet_recip, jet_sqrt
+from .jet import jet_exp, jet_mul, jet_sqrt
 
 # below this the jet square root is dominated by roundoff of the
 # underflowing constant term; the distribution value there is 0 anyway
@@ -84,6 +84,15 @@ def _tilde_minus_1(order):
     return c
 
 
+def _at_tilde(a):
+    # the jet a(lt): with lt - 1 = -(lambda - 1)^2, coefficient k moves
+    # to order 2k with sign (-1)^k and the odd orders vanish
+    out = np.zeros_like(a)
+    out[::2] = a[:(len(a) + 1) // 2]
+    out[2::4] *= -1.0
+    return out
+
+
 def _d2_of(bundle):
     return jet_exp(-bundle.I)
 
@@ -100,14 +109,14 @@ def _d1_of(bundle):
     inner = _tilde_minus_1(order).reshape(col)
     lin = _lambda_minus_1(order).reshape(col)
     one = np.eye(1, order + 1).reshape(col)
-    i_t = jet_compose(I, inner)
-    mu_t = jet_compose(J, inner)
+    i_t = _at_tilde(I)
+    mu_t = _at_tilde(J)
     root_lt = jet_sqrt(one + inner)
     combo = jet_mul(lin, jet_exp(-i_t)) \
         - 0.5 * jet_mul(one - root_lt, jet_exp(mu_t - i_t)) \
         - 0.5 * jet_mul(one + root_lt, jet_exp(-(i_t + mu_t)))
-    # lambda - 2 = (lambda - 1) - 1
-    return jet_mul(combo, jet_recip(lin - one))
+    # 1/(lambda - 2) = -sum_k (lambda - 1)^k
+    return jet_mul(combo, np.full_like(lin, -1.0))
 
 
 def _root4_of(bundle):

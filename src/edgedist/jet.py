@@ -17,14 +17,6 @@ import numpy as np
 _TINY = 1e-300
 
 
-def _jets(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if len(a) != len(b):
-        raise ValueError("operands must share the truncation order")
-    return a, b
-
-
 def jet_mul(a, b):
     """Truncated Cauchy product: c_k = sum_{i <= k} a_i b_{k-i}.
 
@@ -33,7 +25,10 @@ def jet_mul(a, b):
     their digits, and swapping the operands changes a result by at most
     an ulp or so.
     """
-    a, b = _jets(a, b)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if len(a) != len(b):
+        raise ValueError("operands must share the truncation order")
     s = a[0] * b
     err = np.zeros_like(s)
     for i in range(1, len(a)):
@@ -88,24 +83,6 @@ def jet_exp(a):
             s = s + j * c[j] * out[k - j]
         out[k] = s / k
     return out
-
-
-def jet_compose(outer, inner):
-    """Coefficients of outer(inner(eps)) through the shared order.
-
-    ``inner`` must have zero constant coefficient (a perturbation series
-    about the same base point); evaluated by a truncated Horner scheme,
-    which reproduces the Faa di Bruno coefficients exactly.
-    """
-    outer, inner = _jets(outer, inner)
-    if np.any(inner[0] != 0.0):
-        raise ValueError("composition-base error: inner jet must have c0 = 0")
-    acc = np.zeros(np.broadcast_shapes(outer.shape, inner.shape))
-    acc[0] = outer[-1]
-    for k in range(len(outer) - 2, -1, -1):
-        acc = jet_mul(acc, inner)
-        acc[0] += outer[k]
-    return acc
 
 
 def aj_recursion(n_max):

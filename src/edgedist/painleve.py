@@ -19,7 +19,7 @@ of the order-0 and order-1 components.
 
 import dataclasses
 import math
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 from scipy import integrate, interpolate
@@ -31,20 +31,28 @@ class SolverError(RuntimeError):
     """Raised when the collocation or integration stage fails."""
 
 
+# Fixed solver settings: the patch point, left of which the asymptotic
+# expansion gives the first guess; the initial collocation mesh step
+# (at most 4001 nodes); the collocation tolerance, where its residual
+# estimate bottoms out in double precision (spline-derivative roundoff
+# on the integral components); the rtol of the DOP853 sweeps.
+_PATCH_POINT = -8.0
+_MESH_STEP = 0.005
+_BVP_TOL = 1e-10
+_SWEEP_RTOL = 1e-12
+
+
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
-    x_right: float = 6.0
+    """Left end of the solve interval and highest lambda-jet order."""
+    x_right: ClassVar[float] = 6.0
     x_left: float = -10.0
-    patch_point: float = -8.0
-    grid_step: float = 0.005
     jet_order: int = 4
-    ode_tolerance: float = 1e-12
 
     def __post_init__(self):
-        if not (self.x_left < self.patch_point < 0.0 < self.x_right):
-            raise ValueError("require x_left < patch_point < 0 < x_right")
-        if self.grid_step <= 0.0:
-            raise ValueError("grid_step must be positive")
+        if not self.x_left < _PATCH_POINT:
+            raise ValueError(f"x_left must be < {_PATCH_POINT}, where the "
+                             f"asymptotic expansion takes over")
         if self.jet_order < 0:
             raise ValueError("jet_order must be >= 0")
 
@@ -184,37 +192,28 @@ def _evaluate(dense, x, order):
 
 
 class PainleveSolution:
-    """Immutable gridded jets of the Painleve II system.
+    """Jets of the Painleve II system, read from the solve's interpolants.
+
+    ``jets`` and ``jet_at`` evaluate the order-0 collocation solution
+    and the dense output of the jet sweep on [x_left, x_right], and the
+    closed-form boundary jets beyond x_right.
 
     Attributes
     ----------
-    grid : ndarray
-        Ascending x values, uniform with the configured step.
-    q, qprime, I, Iprime, J : ndarray, shape (jet_order + 1, grid.size)
-        Row k holds the k-th Taylor coefficient on the grid.
     config : SolverConfig
     diagnostics : dict
         Collocation residual and node count of order 0 ("order0") and
         the step count of the jet sweep ("sweep", jet_order >= 1).
     """
 
-    def __init__(self, grid, q, qprime, I, Iprime, J, config, dense,
-                 diagnostics):
-        self.grid = grid
-        self.q = q
-        self.qprime = qprime
-        self.I = I
-        self.Iprime = Iprime
-        self.J = J
+    def __init__(self, config, dense, diagnostics):
         self.config = config
         self.diagnostics = diagnostics
         self._dense = tuple(dense)
-        for a in (grid, q, qprime, I, Iprime, J):
-            a.setflags(write=False)
 
     @property
     def jet_order(self):
-        return self.q.shape[0] - 1
+        return self.config.jet_order
 
     def jets(self, s):
         """Jets of q, q', I, I', J at every point of a 1-d array.
@@ -292,8 +291,7 @@ def solve_at_lambda(lam, config=None):
         return [qp, x * q + 2.0 * q ** 3, ip, q * q, -q]
 
     res = integrate.solve_ivp(rhs, (xr, xl), y0, method="DOP853",
-                              rtol=max(cfg.ode_tolerance, 1e-13), atol=1e-20,
-                              dense_output=True)
+                              rtol=_SWEEP_RTOL, atol=1e-20, dense_output=True)
     if not res.success:
         raise SolverError(f"deformed sweep failed: {res.message}")
     return LambdaSolution(lam=lam, config=cfg, dense=res.sol)
@@ -318,14 +316,6 @@ def solve(config=None):
     """
     cfg = config or SolverConfig()
     xr, xl, M = cfg.x_right, cfg.x_left, cfg.jet_order
-    if -2.0 * xl < 10.0:
-        raise ValueError("x_left must be <= -5 so the left boundary "
-                         "lies inside the asymptotic regime")
-    # the collocation residual estimate bottoms out near 1e-10 in double
-    # precision (spline-derivative roundoff on the integral components),
-    # so tighter requests are clamped rather than left to fail
-    tol = max(cfg.ode_tolerance, 1e-10)
-    max_nodes = 400000
 
     ai_r, aip_r = specfun.airy(xr)
     T = specfun.ai2_weighted_tail(xr)
@@ -336,23 +326,21 @@ def solve(config=None):
 
     # ---- first approximation: Runge-Kutta from the right boundary,
     # asymptotic expansion left of the patch point
-    pp = cfg.patch_point
     ivp = integrate.solve_ivp(
         lambda x, y: [y[1], x * y[0] + 2.0 * y[0] ** 3],
-        (xr, pp), [ai_r, aip_r], method="RK45",
+        (xr, _PATCH_POINT), [ai_r, aip_r], method="RK45",
         rtol=1e-10, atol=1e-13, dense_output=True)
     if not ivp.success:
         raise SolverError(f"stiffness error in trial integration: {ivp.message}")
 
-    n_init = min(int(round((xr - xl) / cfg.grid_step)) + 1, 4001)
+    n_init = min(int(round((xr - xl) / _MESH_STEP)) + 1, 4001)
     xs = np.linspace(xl, xr, n_init)
     qg = np.empty_like(xs)
     qpg = np.empty_like(xs)
-    right = xs >= pp
+    right = xs >= _PATCH_POINT
     qg[right], qpg[right] = ivp.sol(xs[right])
-    if np.any(~right):
-        qg[~right] = [q0_asymptotic(-2.0 * x) for x in xs[~right]]
-        qpg[~right] = [_q0_asymptotic_dx(x) for x in xs[~right]]
+    qg[~right] = [q0_asymptotic(-2.0 * x) for x in xs[~right]]
+    qpg[~right] = [_q0_asymptotic_dx(x) for x in xs[~right]]
 
     sq = qg * qg
     c_sq = integrate.cumulative_trapezoid(sq, xs, initial=0.0)
@@ -395,7 +383,7 @@ def solve(config=None):
 
     res = integrate.solve_bvp(fun0, bc0, xs, np.vstack([qg, qpg, ig, ipg, jg]),
                               fun_jac=jac0, bc_jac=bc0_jac,
-                              tol=tol, max_nodes=max_nodes)
+                              tol=_BVP_TOL, max_nodes=400000)
     if res.status != 0:
         raise SolverError(f"order-0 collocation failed: {res.message}; "
                           f"max residual {res.rms_residuals.max():.3e}")
@@ -430,20 +418,11 @@ def solve(config=None):
         y0[2, 0], y0[3, 0] = T, -V
         sweep = integrate.solve_ivp(rhs, (xr, xl), y0.ravel(),
                                     method="DOP853",
-                                    rtol=max(cfg.ode_tolerance, 1e-13),
-                                    atol=1e-20, dense_output=True)
+                                    rtol=_SWEEP_RTOL, atol=1e-20,
+                                    dense_output=True)
         if not sweep.success:
             raise SolverError(f"jet sweep failed: {sweep.message}")
         dense.append(_Dop853Dense.from_solution(sweep.sol))
         diagnostics["sweep"] = {"steps": sweep.t.size}
 
-    # ---- sample everything on the uniform output grid
-    n_out = int(round((xr - xl) / cfg.grid_step)) + 1
-    x_out = np.linspace(xl, xr, n_out)
-    q, qprime, I, Iprime, J = _evaluate(dense, x_out, M)
-    return PainleveSolution(
-        grid=x_out, q=q, qprime=qprime, I=I, Iprime=Iprime, J=J,
-        config=cfg,
-        dense=dense,
-        diagnostics=diagnostics,
-    )
+    return PainleveSolution(cfg, dense, diagnostics)

@@ -29,11 +29,6 @@ def sol_order2():
 
 
 @pytest.fixture(scope="session")
-def sol_fine():
-    return painleve.solve(painleve.SolverConfig(grid_step=0.0025))
-
-
-@pytest.fixture(scope="session")
 def sol_deep():
     # far-left window for underflow-clamp behavior; only one jet order
     # to keep it cheap

@@ -227,8 +227,8 @@ def test_9_property_suite(sol_wide, beta1_tables, beta2_tables, tmp_path,
             if np.any(hi.F < lo.F - 1e-12):
                 problems.append(f"rank ordering beta={beta}")
 
-    x = sol_wide.grid
-    q0 = sol_wide.q[0]
+    x = np.linspace(sol_wide.config.x_left, sol_wide.config.x_right, 3901)
+    q0 = sol_wide.jets(x).q[0]
     h = x[1] - x[0]
     idx = np.linspace(2, x.size - 3, 200).astype(int)
     qxx = (-q0[idx - 2] + 16 * q0[idx - 1] - 30 * q0[idx]

@@ -51,9 +51,12 @@ class TestArgumentErrors:
         assert "beta 4" in capsys.readouterr().err
 
     def test_bad_solver_flag(self, capsys):
-        assert cli.main(["table", "--beta", "2", "--s", "-2",
-                         "--solver.grid-step", "-1"]) == 2
-        capsys.readouterr()
+        # values SolverConfig rejects, not flags argparse does not know
+        for flag, why in ((["--solver.jet-order", "-1"], "jet_order"),
+                          (["--solver.x-left", "-7"], "x_left")):
+            assert cli.main(["table", "--beta", "2", "--s", "-2", *flag]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and why in err
 
     def test_missing_input_file(self, capsys, tmp_path):
         assert cli.main(["percentiles", "--input",
@@ -78,11 +81,27 @@ class TestArgumentErrors:
         err = capsys.readouterr().err
         assert "duplicate" in err and "rep 0" in err and "k = 1" in err
 
-    def test_nan_percentile(self, capsys):
-        assert cli.main(["simulate", "--ensemble", "goe", "--n", "50",
-                         "--reps", "20", "--percentiles", "nan"]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and "Traceback" not in err
+    def test_nan_percentile(self, capsys, monkeypatch):
+        # a level that can never be valid is refused before sampling
+        def collect(cfg):
+            raise AssertionError("sampled before the levels were checked")
+        monkeypatch.setattr(rmt, "collect", collect)
+        for level in ("nan", "-0.1", "1.5"):
+            assert cli.main(["simulate", "--ensemble", "goe", "--n", "50",
+                             "--reps", "20", "--percentiles",
+                             f"0.5,{level}"]) == 2
+            err = capsys.readouterr().err
+            assert "[0, 1]" in err and "Traceback" not in err
+
+    def test_non_finite_samples(self, capsys, tmp_path):
+        # neither may be counted as lying above every ordinate
+        for bad in ("nan", "inf"):
+            path = tmp_path / f"{bad}.csv"
+            path.write_text(f"0,1,-1.0\n1,1,{bad}\n2,1,-2.0\n")
+            assert cli.main(["percentiles", "--input", str(path),
+                             "--beta", "1", "--percentiles", "0.5"]) == 2
+            err = capsys.readouterr().err
+            assert "non-finite" in err and "rep 1 k = 1" in err
 
 
 def test_table_single_point(tmp_path):

@@ -89,10 +89,12 @@ class TestJetIdentities:
     def test_composition_through_lt_is_even(self, sol_default):
         # lt - 1 = -(lambda - 1)^2 kills the odd orders
         b = sol_default.jet_at(-2.0)
-        inner = dist._tilde_minus_1(len(b.I) - 1)
-        composed = jet.jet_compose(b.I, inner)
-        assert composed[1] == 0.0
-        assert composed[3] == 0.0
+        i0, i1, i2 = b.I[:3]
+        assert dist._at_tilde(b.I).tolist() == [i0, 0.0, -i1, 0.0, i2]
+        # gridded jets substitute column by column
+        grid = sol_default.jets(np.array([-2.0, 1.0])).J
+        assert np.array_equal(dist._at_tilde(grid)[:, :1],
+                              dist._at_tilde(grid[:, 0])[:, None])
 
 
 class TestCdf:

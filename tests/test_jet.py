@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgedist import jet
-from edgedist.jet import jet_compose, jet_exp, jet_mul, jet_recip, jet_sqrt
+from edgedist.jet import jet_exp, jet_mul, jet_recip, jet_sqrt
 
 
 def J(*coeffs):
@@ -118,43 +118,6 @@ def test_gridded_jets_match_columns():
         np.testing.assert_allclose(grid[:, i], one, rtol=1e-14, atol=0.0)
 
 
-def test_compose_lambda_tilde():
-    # lambda-tilde - 1 = -(lambda-1)^2 pushed through identity-plus
-    out = jet_compose(J(1, 1, 0, 0, 0), J(0, 0, -1, 0, 0))
-    assert out.tolist() == [1.0, 0.0, -1.0, 0.0, 0.0]
-
-
-def test_compose_identity_inner():
-    a = J(2.0, -0.5, 0.125, 3.0, -1.0)
-    out = jet_compose(a, J(0, 1, 0, 0, 0))
-    np.testing.assert_allclose(out, a, rtol=1e-15)
-
-
-def test_compose_matches_exp_recurrence():
-    inner = J(0, 1, 0)
-    # Taylor coefficients of exp about 1... base value folded into outer
-    outer = J(1.0, 1.0, 0.5)
-    away = jet_compose(outer, inner)
-    direct = jet_exp(inner)
-    np.testing.assert_allclose(away, direct, rtol=1e-15)
-
-
-def test_compose_even_inner_kills_odd_orders():
-    # any outer series composed with an even perturbation keeps only
-    # even epsilon powers; this is what makes the beta=1 jets even in
-    # (lambda - 1) after the lambda-tilde substitution
-    rng = np.random.default_rng(11)
-    outer = J(*rng.standard_normal(5))
-    out = jet_compose(outer, J(0, 0, -1, 0, 0))
-    assert out[1] == 0.0
-    assert out[3] == 0.0
-
-
-def test_compose_requires_zero_base():
-    with pytest.raises(ValueError, match="composition"):
-        jet_compose(J(1, 1, 0), J(0.5, 1, 0))
-
-
 def test_aj_first_values():
     a = jet.aj_sequence(4, method="recursion")
     assert a == [1.0, 1.0, 1.0, 3.0, 9.0]
@@ -176,15 +139,12 @@ def test_immutability():
     # jet operations return new arrays and never write to their operands
     a = J(1, 2, 3)
     b = J(0.5, -1.0, 4.0)
-    inner = J(0, 1, 0)
     for op in (lambda: jet_mul(a, b), lambda: jet_recip(a),
-               lambda: jet_sqrt(a), lambda: jet_exp(a),
-               lambda: jet_compose(a, inner)):
+               lambda: jet_sqrt(a), lambda: jet_exp(a)):
         out = op()
         out[:] = 0.0
     assert a.tolist() == [1.0, 2.0, 3.0]
     assert b.tolist() == [0.5, -1.0, 4.0]
-    assert inner.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_truncation_locality():

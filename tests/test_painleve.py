@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,23 +14,24 @@ class TestConfig:
         cfg = SolverConfig()
         assert cfg.x_right == 6.0
         assert cfg.x_left == -10.0
-        assert cfg.patch_point == -8.0
         assert cfg.jet_order == 4
+        # the other solver settings are fixed
+        assert [f.name for f in dataclasses.fields(cfg)] == ["x_left",
+                                                             "jet_order"]
 
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             SolverConfig(x_left=-7.0)  # right of patch point
         with pytest.raises(ValueError):
-            SolverConfig(grid_step=0.0)
+            SolverConfig(x_left=-8.0)  # at the patch point
         with pytest.raises(ValueError):
             SolverConfig(jet_order=-1)
-        with pytest.raises(ValueError):
-            SolverConfig(x_right=-1.0)
 
     def test_shallow_left_end_rejected(self):
-        # asymptotic anchor needs -2*x_left inside the series range
+        # the asymptotic anchor needs -2*x_left inside the series range,
+        # which the config enforces before any solve starts
         with pytest.raises(ValueError):
-            painleve.solve(SolverConfig(x_left=-4.9, patch_point=-4.95))
+            painleve.solve(SolverConfig(x_left=-4.9))
 
 
 def test_q0_asymptotic_leading_term():
@@ -79,6 +81,12 @@ def test_boundary_jet():
         painleve.boundary_jet(3.9)
 
 
+def _uniform(sol, n=3201):
+    # n equally spaced points on [x_left, x_right], and the jets there
+    x = np.linspace(sol.config.x_left, sol.config.x_right, n)
+    return x, sol.jets(x)
+
+
 class TestSolveInvariants:
     def test_right_boundary_is_airy(self, sol_default):
         xr = sol_default.config.x_right
@@ -97,17 +105,17 @@ class TestSolveInvariants:
         assert abs(b.Iprime[0] + specfun.ai2_tail(xr)) < 1e-10
 
     def test_q0_positive(self, sol_default):
-        assert np.all(sol_default.q[0] > 0.0)
+        assert np.all(_uniform(sol_default)[1].q[0] > 0.0)
 
     def test_j0_positive_decreasing(self, sol_default):
-        j0 = sol_default.J[0]
+        j0 = _uniform(sol_default)[1].J[0]
         assert np.all(j0 > 0.0)
         assert np.all(np.diff(j0) < 0.0)
 
     def test_painleve_residual(self, sol_default):
-        # 5-point second derivative on the uniform output grid
-        x = sol_default.grid
-        q0 = sol_default.q[0]
+        # 5-point second derivative on a uniform grid
+        x, b = _uniform(sol_default)
+        q0 = b.q[0]
         h = x[1] - x[0]
         idx = np.linspace(2, x.size - 3, 100).astype(int)
         qxx = (-q0[idx - 2] + 16 * q0[idx - 1] - 30 * q0[idx]
@@ -116,9 +124,8 @@ class TestSolveInvariants:
         assert np.max(np.abs(qxx - rhs)) < 1e-8
 
     def test_variational_residual_order1(self, sol_default):
-        x = sol_default.grid
-        q0 = sol_default.q[0]
-        q1 = sol_default.q[1]
+        x, b = _uniform(sol_default)
+        q0, q1 = b.q[:2]
         h = x[1] - x[0]
         idx = np.linspace(2, x.size - 3, 100).astype(int)
         qxx = (-q1[idx - 2] + 16 * q1[idx - 1] - 30 * q1[idx]
@@ -128,9 +135,9 @@ class TestSolveInvariants:
         assert np.max(np.abs(qxx - rhs) / scale) < 1e-7
 
     def test_second_derivative_of_I_is_q_squared(self, sol_default):
-        x = sol_default.grid
-        i0 = sol_default.I[0]
-        q0 = sol_default.q[0]
+        x, b = _uniform(sol_default)
+        i0 = b.I[0]
+        q0 = b.q[0]
         h = x[1] - x[0]
         idx = np.linspace(2, x.size - 3, 100).astype(int)
         ixx = (-i0[idx - 2] + 16 * i0[idx - 1] - 30 * i0[idx]
@@ -154,11 +161,6 @@ class TestSolveInvariants:
                 b = getattr(low, name)
                 for u, v in zip(a, b):
                     assert abs(u - v) <= 1e-10 * max(1.0, abs(v))
-
-    def test_grid_refinement_stability(self, sol_default, sol_fine):
-        a = math.exp(-sol_default.jet_at(-2.0).I[0])
-        b = math.exp(-sol_fine.jet_at(-2.0).I[0])
-        assert abs(a - b) <= 1e-9
 
     def test_diagnostics_present(self, sol_default):
         d = sol_default.diagnostics
@@ -193,9 +195,7 @@ class TestSolutionAccess:
         pts = np.array([xr + 1e-9, xl, xr, xr - 1e-9])
         got = sol_default.jets(pts)
         for name in got._fields:
-            a, grid = getattr(got, name), getattr(sol_default, name)
-            # the output grid runs from x_left to x_right
-            assert np.array_equal(a[:, 1:3], grid[:, [0, -1]])
+            a = getattr(got, name)
             # a point's jets do not depend on the other points asked for
             for j, x in enumerate(pts):
                 alone = getattr(sol_default.jets(pts[j:j + 1]), name)
@@ -210,10 +210,6 @@ class TestSolutionAccess:
         assert np.array_equal(got.qprime[1:, 2], b * specfun.airy(xr).aip)
         assert got.q[0, 1] == pytest.approx(
             painleve.q0_asymptotic(-2.0 * xl), rel=1e-10)
-
-    def test_arrays_frozen(self, sol_default):
-        with pytest.raises(ValueError):
-            sol_default.q[0][0] = 1.0
 
     def test_jet_order_property(self, sol_default, sol_order2):
         assert sol_default.jet_order == 4
