@@ -71,12 +71,17 @@ def _add_output_flags(sp):
                     help="emit one JSON document instead of CSV")
 
 
-def _solver_config(args, s_min=None):
+def _solver_config(args, s_min=None, m_max=0):
+    """The solve's config; ValueError if its jets cannot give F(s, m_max)."""
     x_left = args.solver_x_left
     if s_min is not None and s_min < x_left:
         x_left = s_min
-    return painleve.SolverConfig(x_left=x_left,
-                                 jet_order=args.solver_jet_order)
+    cfg = painleve.SolverConfig(x_left=x_left,
+                                jet_order=args.solver_jet_order)
+    if m_max > cfg.jet_order:
+        raise ValueError(f"m = {m_max} exceeds the solver jet order "
+                         f"{cfg.jet_order}")
+    return cfg
 
 
 def _write(args, doc, lines):
@@ -119,11 +124,7 @@ def _csv(columns, rows):
 
 def _tables(args, beta, ms, grid, s_min):
     """Solve once, then tabulate F_beta(s, m) on ``grid`` for each m."""
-    cfg = _solver_config(args, s_min=s_min)
-    if max(ms) > cfg.jet_order:
-        raise ValueError(f"m = {max(ms)} exceeds the solver jet order "
-                         f"{cfg.jet_order}")
-    sol = painleve.solve(cfg)
+    sol = painleve.solve(_solver_config(args, s_min=s_min, m_max=max(ms)))
     return [dist.cdf(dist.DistRequest(beta=beta, m=m, s_grid=grid), sol)
             for m in ms]
 
@@ -207,6 +208,9 @@ def _ensemble_config(args):
 
 def cmd_simulate(args):
     cfg = _ensemble_config(args)
+    if args.percentiles:
+        # the config _percentile_report will solve, checked before sampling
+        _solver_config(args, s_min=_MOMENT_X_LEFT, m_max=cfg.top_k)
     samples, failures = rmt.collect(cfg)
     if len(failures) > 0.001 * cfg.reps:
         first = failures[0]
@@ -245,14 +249,18 @@ def _read_samples_csv(path):
     """(k values, samples array with one column per k) of a sample CSV."""
     rows = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("rep,"):
                 continue
             if line.startswith("percentile"):
                 break
-            rep, k, val = line.split(",")
-            rep, k = int(rep), int(k)
+            try:
+                rep, k, val = line.split(",")
+                rep, k = int(rep), int(k)
+            except ValueError:
+                raise ValueError(f"malformed sample on line {lineno}: "
+                                 f"{line!r}, expected rep,k,value") from None
             row = rows.setdefault(rep, {})
             if k in row:
                 raise ValueError(f"duplicate sample: rep {rep} has two "

@@ -15,12 +15,14 @@ so F(s, m) = sum_{k=0}^{m-1} (-1)^k c_k.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 from scipy.integrate import simpson
 
 from .jet import jet_exp, jet_mul, jet_sqrt
+from .painleve import JetBundle
 
 # below this the jet square root is dominated by roundoff of the
 # underflowing constant term; the distribution value there is 0 anyway
@@ -69,19 +71,15 @@ class SummaryStats:
     kurtosis: float
 
 
-def _lambda_minus_1(order):
-    c = np.zeros(order + 1)
-    if order >= 1:
-        c[1] = 1.0
-    return c
-
-
-def _tilde_minus_1(order):
-    # lt - 1 = 2 lambda - lambda^2 - 1 = -(lambda - 1)^2
-    c = np.zeros(order + 1)
-    if order >= 2:
-        c[2] = -1.0
-    return c
+@functools.lru_cache(maxsize=None)
+def _one_pm_root_tilde(order):
+    # the constant jets 1 -+ sqrt(lt), lt = 1 - (lambda - 1)^2; read-only,
+    # since every call at this order shares them
+    one = np.eye(1, order + 1)[0]
+    root_lt = jet_sqrt(one - np.eye(1, order + 1, 2)[0])
+    out = np.stack([one - root_lt, one + root_lt])
+    out.setflags(write=False)
+    return out
 
 
 def _at_tilde(a):
@@ -103,20 +101,19 @@ def _d1_of(bundle):
     # coefficients, while the exponents -I +- J only involve the much
     # smaller coefficient differences
     I, J = bundle.I, bundle.J
-    order = len(I) - 1
-    # the polynomial jets in lambda, shaped to broadcast over the s axes
+    # the constant jets, shaped to broadcast over the s axes
     col = (-1,) + (1,) * (I.ndim - 1)
-    inner = _tilde_minus_1(order).reshape(col)
-    lin = _lambda_minus_1(order).reshape(col)
-    one = np.eye(1, order + 1).reshape(col)
+    minus, plus = (c.reshape(col) for c in _one_pm_root_tilde(len(I) - 1))
     i_t = _at_tilde(I)
     mu_t = _at_tilde(J)
-    root_lt = jet_sqrt(one + inner)
-    combo = jet_mul(lin, jet_exp(-i_t)) \
-        - 0.5 * jet_mul(one - root_lt, jet_exp(mu_t - i_t)) \
-        - 0.5 * jet_mul(one + root_lt, jet_exp(-(i_t + mu_t)))
+    e = jet_exp(-i_t)
+    # (lambda - 1) e is e shifted up one order; + 0.0 turns the -0.0 of
+    # e[1] into the +0.0 that jet_mul would give
+    combo = np.concatenate([np.zeros_like(e[:1]), e[:-1]]) + 0.0 \
+        - 0.5 * jet_mul(minus, jet_exp(mu_t - i_t)) \
+        - 0.5 * jet_mul(plus, jet_exp(-(i_t + mu_t)))
     # 1/(lambda - 2) = -sum_k (lambda - 1)^k
-    return jet_mul(combo, np.full_like(lin, -1.0))
+    return jet_mul(combo, np.full_like(minus, -1.0))
 
 
 def _root4_of(bundle):
@@ -168,6 +165,9 @@ def _density(F, h):
 def cdf(req, sol):
     """Tabulate F_beta(s, m) and its density on the requested grid.
 
+    F(s, m) = sum_{k < m} (-1)^k c_k reads only the Taylor coefficients
+    c_0..c_{m-1}, so the jets are assembled to order m - 1 alone.
+
     Parameters
     ----------
     req : DistRequest
@@ -189,11 +189,15 @@ def cdf(req, sol):
     if req.s_grid[0] < sol.config.x_left - 1e-9:
         raise ValueError(f"range error: grid starts at {req.s_grid[0]}, "
                          f"solution at {sol.config.x_left}")
-    F = _telescope(_root_of(sol.jets(req.s_grid), req.beta), req.m)
+    # coefficient k of every jet operation reads only orders <= k, so
+    # cutting the bundle to orders < m leaves each c_k bit-identical
+    bundle = JetBundle(*(a[:req.m] for a in sol.jets(req.s_grid)))
+    F = _telescope(_root_of(bundle, req.beta), req.m)
 
     steps = np.diff(req.s_grid)
     h = steps[0]
-    if req.s_grid.size >= 5 and np.allclose(steps, h, rtol=1e-8, atol=0.0):
+    # np.allclose(steps, h, rtol=1e-8, atol=0) without its overhead
+    if req.s_grid.size >= 5 and np.all(np.abs(steps - h) <= 1e-8 * abs(h)):
         f = _density(F, h)
     else:
         f = np.gradient(F, req.s_grid)

@@ -93,6 +93,31 @@ class TestArgumentErrors:
             err = capsys.readouterr().err
             assert "[0, 1]" in err and "Traceback" not in err
 
+    def test_top_k_beyond_jet_order(self, capsys, monkeypatch):
+        # a percentile report the jets cannot serve is refused before
+        # sampling; without --percentiles the same top k is sampled
+        def collect(cfg):
+            raise AssertionError("sampled before top k was checked")
+        monkeypatch.setattr(rmt, "collect", collect)
+        for cmd in (["simulate", "--ensemble", "goe", "--n", "200"],
+                    ["wishart", "--rows", "100", "--cols", "400"]):
+            argv = [*cmd, "--reps", "200", "--top-k", "5"]
+            assert cli.main([*argv, "--percentiles", "0.5"]) == 2
+            err = capsys.readouterr().err
+            assert "m = 5 exceeds the solver jet order 4" in err
+            with pytest.raises(AssertionError, match="sampled"):
+                cli.main(argv)
+
+    @pytest.mark.parametrize("bad", ["1,1", "1,1,-2.0,7", "x,1,-2.0"])
+    def test_malformed_samples(self, capsys, tmp_path, bad):
+        # too few fields, too many, a rep that is no integer
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# samples\n0,1,-1.0\n{bad}\n2,1,-2.0\n")
+        assert cli.main(["percentiles", "--input", str(path), "--beta", "1",
+                         "--percentiles", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 3" in err and bad in err
+
     def test_non_finite_samples(self, capsys, tmp_path):
         # neither may be counted as lying above every ordinate
         for bad in ("nan", "inf"):

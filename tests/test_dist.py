@@ -153,6 +153,31 @@ class TestCdf:
             assert np.all(np.isfinite(table.F))
             assert np.all(np.diff(table.F) >= 0.0)
 
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_root_reads_only_lower_orders(self, sol_wide, beta):
+        # cdf cuts the bundle to orders < m before assembly; each root
+        # coefficient must be the full-order one, bit for bit, inside
+        # the solved domain, in the tail and on single-point jets
+        bundles = [sol_wide.jets(np.linspace(-13.5, 9.5, 461))]
+        bundles += [sol_wide.jet_at(s) for s in (-12.0, -4.0, 0.5, 8.0)]
+        for b in bundles:
+            whole = dist._root_of(b, beta)
+            for m in range(1, 5):
+                cut = painleve.JetBundle(*(a[:m] for a in b))
+                assert (dist._root_of(cut, beta).tobytes()
+                        == whole[:m].tobytes())
+
+    @pytest.mark.parametrize("rel, stencil", [(5e-9, True), (2e-8, False)])
+    def test_uniform_step_tolerance(self, sol_default, rel, stencil):
+        # one step off by rel * h: within 1e-8 relative the grid still
+        # counts as uniform and gets the 5-point stencils
+        grid = -2.0 + 0.01 * np.arange(7.0)
+        grid[4:] += rel * 0.01
+        t = dist.cdf(DistRequest(beta=2, s_grid=grid), sol_default)
+        want = (dist._density(t.F, np.diff(grid)[0]) if stencil
+                else np.gradient(t.F, grid))
+        assert np.array_equal(t.f, want)
+
     def test_interlacing_m1(self, sol_default):
         grid = np.linspace(-10.0, 6.0, 1601)
         assert dist.interlacing_residual(1, sol_default, grid) <= 1e-5
