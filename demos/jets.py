@@ -1,7 +1,8 @@
 """Small tour of the truncated-series arithmetic behind the m > 1 laws.
 
-Shows the jet operations, the closed-form Taylor coefficients a_j of
-sqrt(1 - e) about e = 0, and the right-boundary jets that seed the
+Shows the jet operations, the derivatives a_j of
+sqrt(lambda/(2 - lambda)) = sqrt((1 + e)/(1 - e)) at e = lambda - 1 = 0
+(1, 1, 1, 3, 9, 45, ...), and the right-boundary jets that seed the
 solver.
 """
 
@@ -24,10 +25,11 @@ def main():
     print("sqrt of three jets, one per column:")
     print(jet.jet_sqrt(grid))
 
-    print("\ncoefficients a_j of sqrt(1 - e), two derivations:")
-    by_jet = jet.aj_sequence(8, method="jet")
-    by_rec = jet.aj_sequence(8, method="recursion")
-    print("  j   closed form          recursion            |rel diff|")
+    print("\nderivatives a_j of sqrt((1 + e)/(1 - e)) at e = 0, "
+          "two derivations:")
+    by_jet = jet.aj_sequence(8)
+    by_rec = jet.aj_recursion(8)
+    print("  j   jets                 recursion            |rel diff|")
     for j, (x, y) in enumerate(zip(by_jet, by_rec)):
         rel = abs(x - y) / max(abs(y), 1.0)
         print("  %d   %-18.12g   %-18.12g   %.1e" % (j, x, y, rel))

@@ -56,14 +56,6 @@ def _parse_levels(text):
     return vals
 
 
-def _add_solver_flags(sp):
-    d = painleve.SolverConfig()
-    sp.add_argument("--solver.x-left", dest="solver_x_left", type=float,
-                    default=d.x_left, help="left end of the solve interval")
-    sp.add_argument("--solver.jet-order", dest="solver_jet_order", type=int,
-                    default=d.jet_order, help="highest lambda-jet order")
-
-
 def _add_output_flags(sp):
     sp.add_argument("--output", "-o", default=None,
                     help="output file (default: stdout)")
@@ -71,17 +63,22 @@ def _add_output_flags(sp):
                     help="emit one JSON document instead of CSV")
 
 
-def _solver_config(args, s_min=None, m_max=0):
-    """The solve's config; ValueError if its jets cannot give F(s, m_max)."""
-    x_left = args.solver_x_left
-    if s_min is not None and s_min < x_left:
-        x_left = s_min
-    cfg = painleve.SolverConfig(x_left=x_left,
-                                jet_order=args.solver_jet_order)
-    if m_max > cfg.jet_order:
+def _solver_config(s_min, m_max):
+    """The solve that serves F(s, m) for s >= s_min and m <= m_max.
+
+    x_left covers s_min.  F(s, 1) reads only the order-0 jets, which are
+    the same bits at every jet order, so m_max = 1 solves at order 0.
+    Every m >= 2 solves at the default order: the sweep's step control
+    acts on all orders at once, so one order for all of them keeps the
+    printed digits independent of the request.  ValueError for m_max
+    above that order.
+    """
+    d = painleve.SolverConfig()
+    if m_max > d.jet_order:
         raise ValueError(f"m = {m_max} exceeds the solver jet order "
-                         f"{cfg.jet_order}")
-    return cfg
+                         f"{d.jet_order}")
+    return painleve.SolverConfig(x_left=min(d.x_left, s_min),
+                                 jet_order=0 if m_max == 1 else d.jet_order)
 
 
 def _write(args, doc, lines):
@@ -122,9 +119,9 @@ def _csv(columns, rows):
     return [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
 
 
-def _tables(args, beta, ms, grid, s_min):
+def _tables(beta, ms, grid, s_min):
     """Solve once, then tabulate F_beta(s, m) on ``grid`` for each m."""
-    sol = painleve.solve(_solver_config(args, s_min=s_min, m_max=max(ms)))
+    sol = painleve.solve(_solver_config(s_min, max(ms)))
     return [dist.cdf(dist.DistRequest(beta=beta, m=m, s_grid=grid), sol)
             for m in ms]
 
@@ -148,7 +145,7 @@ def cmd_table(args):
     # default table read at sqrt(2) s
     scale = math.sqrt(2.0) if args.tw_convention else 1.0
     solve_grid = grid * scale
-    tables = _tables(args, args.beta, args.m, solve_grid,
+    tables = _tables(args.beta, args.m, solve_grid,
                      float(solve_grid[0]))
     s, keep = grid.tolist(), slice(None)
     if single:
@@ -167,7 +164,7 @@ def cmd_table(args):
 def cmd_moments(args):
     rows = [{"beta": t.beta, "m": t.m,
              **dataclasses.asdict(dist.moments(t))}
-            for t in _tables(args, args.beta, args.m, _MOMENT_GRID,
+            for t in _tables(args.beta, args.m, _MOMENT_GRID,
                              _MOMENT_X_LEFT)]
     _write(args, {"moments": rows},
            _csv(rows[0].keys(), (r.values() for r in rows)))
@@ -178,7 +175,7 @@ def _percentile_report(args, beta, samples, ks):
     """Percentile report of sample columns holding the k-th largest
     eigenvalue for each k in ``ks``, column k against F_beta(s, k);
     returns (JSON doc, CSV lines)."""
-    tables = _tables(args, beta, ks, _MOMENT_GRID, _MOMENT_X_LEFT)
+    tables = _tables(beta, ks, _MOMENT_GRID, _MOMENT_X_LEFT)
     report = rmt.percentile_report(samples, tables, args.percentiles)
     doc = {"k": list(ks), "levels": list(report.percentiles),
            "ordinates": [list(r) for r in report.ordinates],
@@ -210,7 +207,7 @@ def cmd_simulate(args):
     cfg = _ensemble_config(args)
     if args.percentiles:
         # the config _percentile_report will solve, checked before sampling
-        _solver_config(args, s_min=_MOMENT_X_LEFT, m_max=cfg.top_k)
+        _solver_config(_MOMENT_X_LEFT, cfg.top_k)
     samples, failures = rmt.collect(cfg)
     if len(failures) > 0.001 * cfg.reps:
         first = failures[0]
@@ -288,19 +285,21 @@ def cmd_percentiles(args):
 
 
 def _verify_aj():
-    a_jet = jet.aj_sequence(8, method="jet")
-    a_rec = jet.aj_sequence(8, method="recursion")
+    a_jet = jet.aj_sequence(8)
+    a_rec = jet.aj_recursion(8)
     resid = max(abs(x - y) / max(abs(y), 1.0)
                 for x, y in zip(a_jet, a_rec))
     return [("aj jets vs recursion (j <= 8)", resid, 1e-12)]
 
 
-def _verify_oracle(args):
-    sol = painleve.solve(_solver_config(args))
+def _verify_oracle():
+    # I_0 and J_0 only: the order-0 solve
     pts = (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0)
+    cfg = _solver_config(pts[0], 1)
+    sol = painleve.solve(cfg)
     r1 = max(abs(math.exp(-sol.jet_at(s).I[0])
                  - oracle.nystrom_d2(s, 1.0, 200)) for s in pts)
-    half = painleve.solve_at_lambda(0.5, _solver_config(args))
+    half = painleve.solve_at_lambda(0.5, cfg)
     r2 = 0.0
     for s in pts:
         i0 = half.at(s)[2]
@@ -315,8 +314,9 @@ def _verify_oracle(args):
             ("d4 vs Nystrom, lambda=1", r3, 1e-6)]
 
 
-def _verify_asymptotics(args):
-    sol = painleve.solve(_solver_config(args))
+def _verify_asymptotics():
+    # reads q at orders 0 and 1
+    sol = painleve.solve(_solver_config(-8.0, 2))
     b = sol.jet_at(-8.0)
     q0_ref = painleve.q0_asymptotic(16.0)
     q1_ref = painleve.q1_asymptotic(16.0)
@@ -326,9 +326,10 @@ def _verify_asymptotics(args):
             ("q1 at x=-8 vs asymptotic series", r1, 1e-4)]
 
 
-def _verify_interlacing(args):
-    cfg = _solver_config(args, s_min=-13.5)
-    sol = painleve.solve(cfg)
+def _verify_interlacing():
+    # F_1(s, 4) on the default grid [-13, 6], solved from half a unit
+    # further left
+    sol = painleve.solve(_solver_config(-13.5, 4))
     r1 = dist.interlacing_residual(1, sol)
     r2 = dist.interlacing_residual(2, sol)
     return [("sup |F4(s,1) - F1(s,2)| on [-13, 6]", r1, 1e-5),
@@ -336,12 +337,9 @@ def _verify_interlacing(args):
 
 
 def cmd_verify(args):
-    checks = {
-        "aj": lambda: _verify_aj(),
-        "oracle": lambda: _verify_oracle(args),
-        "asymptotics": lambda: _verify_asymptotics(args),
-        "interlacing": lambda: _verify_interlacing(args),
-    }
+    checks = {"aj": _verify_aj, "oracle": _verify_oracle,
+              "asymptotics": _verify_asymptotics,
+              "interlacing": _verify_interlacing}
     rows = [(label, float(resid), tol)
             for label, resid, tol in checks[args.check]()]
     ok = all(resid <= tol for _, resid, tol in rows)
@@ -374,14 +372,12 @@ def build_parser():
     sp.add_argument("--tw-convention", action="store_true",
                     help="beta=4 tables in the Tracy-Widom normalization "
                          "F_4(sqrt(2) s)")
-    _add_solver_flags(sp)
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("moments", help="mean/sd/skewness/kurtosis")
     sp.add_argument("--beta", type=int, choices=_BETAS, required=True)
     sp.add_argument("--m", type=_parse_m_list, default=[1])
-    _add_solver_flags(sp)
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_moments)
 
@@ -401,7 +397,6 @@ def build_parser():
         sp.add_argument("--percentiles", type=_parse_levels,
                         default=None,
                         help="emit a percentile report at these levels")
-        _add_solver_flags(sp)
         _add_output_flags(sp)
 
     sp = sub.add_parser("simulate", help="Monte-Carlo ensemble sampling")
@@ -417,14 +412,12 @@ def build_parser():
     sp.add_argument("--input", required=True, help="samples CSV path")
     sp.add_argument("--beta", type=int, choices=_BETAS, required=True)
     sp.add_argument("--percentiles", type=_parse_levels, required=True)
-    _add_solver_flags(sp)
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_percentiles)
 
     sp = sub.add_parser("verify", help="cross-checks with thresholds")
     sp.add_argument("--check", required=True,
                     choices=("aj", "oracle", "asymptotics", "interlacing"))
-    _add_solver_flags(sp)
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_verify)
     return ap

@@ -180,15 +180,13 @@ def cdf(req, sol):
     Raises
     ------
     ValueError
-        If m exceeds what the jet order can produce (coefficients
-        0..m-1 are required) or the grid extends left of the solution.
+        If m exceeds what the jet order can produce: coefficients
+        0..m-1 are required, so m may be at most jet_order + 1.  Or,
+        from ``sol.jets``, if the grid extends left of the solution.
     """
-    if req.m > sol.jet_order:
-        raise ValueError(f"capability error: m = {req.m} exceeds the "
-                         f"solution jet order {sol.jet_order}")
-    if req.s_grid[0] < sol.config.x_left - 1e-9:
-        raise ValueError(f"range error: grid starts at {req.s_grid[0]}, "
-                         f"solution at {sol.config.x_left}")
+    if req.m > sol.jet_order + 1:
+        raise ValueError(f"capability error: m = {req.m} needs jet order "
+                         f"{req.m - 1}, the solution has {sol.jet_order}")
     # coefficient k of every jet operation reads only orders <= k, so
     # cutting the bundle to orders < m leaves each c_k bit-identical
     bundle = JetBundle(*(a[:req.m] for a in sol.jets(req.s_grid)))

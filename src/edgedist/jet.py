@@ -98,19 +98,15 @@ def aj_recursion(n_max):
     return a
 
 
-def aj_sequence(n_max, method="jet"):
+def aj_sequence(n_max):
     """Derivatives of sqrt(lambda/(2-lambda)) at lambda=1.
 
-    ``method="jet"`` runs the jet sqrt/recip machinery and rescales the
-    Taylor coefficients by j!; ``method="recursion"`` uses the exact
-    integer recursion.  The two agree to roundoff.
+    Runs the jet sqrt/recip machinery and rescales the Taylor
+    coefficients by j!; agrees with the exact integer recursion
+    ``aj_recursion`` to roundoff.
     """
     if n_max > 30:
         raise ValueError("n_max > 30: values grow factorially")
-    if method == "recursion":
-        return aj_recursion(n_max)
-    if method != "jet":
-        raise ValueError(f"unknown method {method!r}")
     lam = np.zeros(n_max + 1)
     two_minus = np.zeros(n_max + 1)
     lam[0] = two_minus[0] = 1.0

@@ -226,8 +226,8 @@ class PainleveSolution:
         s = np.asarray(s, dtype=float)
         cfg = self.config
         if s.size and s.min() < cfg.x_left - 1e-12:
-            raise ValueError(f"s = {s.min()} left of solved domain "
-                             f"[{cfg.x_left}, inf)")
+            raise ValueError(f"range error: s = {s.min()} left of solved "
+                             f"domain [{cfg.x_left}, inf)")
         M = self.jet_order
         out = np.empty((5, M + 1, s.size))
         tail = s > cfg.x_right

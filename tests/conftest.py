@@ -24,6 +24,11 @@ def sol_wide():
 
 
 @pytest.fixture(scope="session")
+def sol_order0():
+    return painleve.solve(painleve.SolverConfig(jet_order=0))
+
+
+@pytest.fixture(scope="session")
 def sol_order2():
     return painleve.solve(painleve.SolverConfig(jet_order=2))
 

@@ -149,8 +149,8 @@ def test_5_asymptotic_patching(sol_default, verdict):
 
 
 def test_6_aj_sequence(verdict):
-    by_jet = jet.aj_sequence(8, method="jet")
-    by_rec = jet.aj_sequence(8, method="recursion")
+    by_jet = jet.aj_sequence(8)
+    by_rec = jet.aj_recursion(8)
     worst = max(abs(x - y) / max(abs(y), 1.0)
                 for x, y in zip(by_jet, by_rec))
     ok = worst <= 1e-12

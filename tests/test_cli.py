@@ -8,9 +8,13 @@ import re
 import numpy as np
 import pytest
 
-from edgedist import __version__, cli, rmt
+from edgedist import __version__, cli, painleve, rmt
 
 D2_AT_M2 = 4.132241425051321e-01
+
+
+def _no_solve(config=None):
+    raise AssertionError("solved before the request was checked")
 
 
 def data_lines(text):
@@ -50,13 +54,26 @@ class TestArgumentErrors:
                          "--tw-convention"]) == 2
         assert "beta 4" in capsys.readouterr().err
 
-    def test_bad_solver_flag(self, capsys):
-        # values SolverConfig rejects, not flags argparse does not know
-        for flag, why in ((["--solver.jet-order", "-1"], "jet_order"),
-                          (["--solver.x-left", "-7"], "x_left")):
-            assert cli.main(["table", "--beta", "2", "--s", "-2", *flag]) == 2
+    def test_bad_solver_flag(self, capsys, monkeypatch):
+        # the CLI picks its own solve; every solver flag is unknown
+        monkeypatch.setattr(painleve, "solve", _no_solve)
+        for cmd in (["table", "--beta", "2", "--s", "-2"],
+                    ["verify", "--check", "interlacing"]):
+            for flag in (["--solver.jet-order", "2"],
+                         ["--solver.x-left", "-12"],
+                         ["--solver.x-right", "6"]):
+                assert cli.main([*cmd, *flag]) == 2
+                assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_m_beyond_jet_order(self, capsys, monkeypatch):
+        # refused before any solve, though the library serves m = 5 from
+        # a jet-order-4 solve
+        monkeypatch.setattr(painleve, "solve", _no_solve)
+        for argv in (["table", "--beta", "1", "--m", "5", "--s", "0"],
+                     ["moments", "--beta", "2", "--m", "1,5"]):
+            assert cli.main(argv) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error:") and why in err
+            assert "m = 5 exceeds the solver jet order 4" in err
 
     def test_missing_input_file(self, capsys, tmp_path):
         assert cli.main(["percentiles", "--input",
@@ -127,6 +144,29 @@ class TestArgumentErrors:
                              "--beta", "1", "--percentiles", "0.5"]) == 2
             err = capsys.readouterr().err
             assert "non-finite" in err and "rep 1 k = 1" in err
+
+
+@pytest.mark.parametrize("argv, x_left, jet_order", [
+    (["table", "--beta", "2", "--m", "1", "--s", "0"], -10.0, 0),
+    (["table", "--beta", "2", "--m", "1,2", "--s", "0"], -10.0, 4),
+    (["moments", "--beta", "2", "--m", "1"], -13.5, 0),
+    (["verify", "--check", "oracle"], -10.0, 0),
+    (["verify", "--check", "asymptotics"], -10.0, 4),
+    (["verify", "--check", "interlacing"], -13.5, 4),
+])
+def test_solve_follows_the_request(capsys, monkeypatch, argv, x_left,
+                                   jet_order):
+    # the jet orders the request reads, from an x_left covering its grid
+    configs, solve = [], painleve.solve
+
+    def record(config=None):
+        configs.append(config)
+        return solve(config)
+    monkeypatch.setattr(painleve, "solve", record)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert [(c.x_left, c.jet_order) for c in configs] == [(x_left,
+                                                           jet_order)]
 
 
 def test_table_single_point(tmp_path):

@@ -98,11 +98,40 @@ class TestJetIdentities:
 
 
 class TestCdf:
-    def test_m_beyond_jet_order(self, sol_default):
-        req = DistRequest(beta=2, m=5,
-                          s_grid=np.linspace(-5.0, 5.0, 11))
-        with pytest.raises(ValueError, match="capability error"):
-            dist.cdf(req, sol_default)
+    def test_m_beyond_jet_order(self, sol_default, sol_order2):
+        # F(s, m) reads coefficients 0..m-1: jet order M serves m <= M + 1
+        grid = np.linspace(-5.0, 5.0, 11)
+        for sol in (sol_default, sol_order2):
+            req = DistRequest(beta=2, m=sol.jet_order + 2, s_grid=grid)
+            with pytest.raises(ValueError, match="capability error"):
+                dist.cdf(req, sol)
+
+    def test_m_at_jet_order_plus_one(self, sol_default, sol_order2):
+        grid = np.linspace(-5.0, 5.0, 11)
+        for sol in (sol_default, sol_order2):
+            m = sol.jet_order + 1
+            table = dist.cdf(DistRequest(beta=2, m=m, s_grid=grid), sol)
+            assert table.m == m and np.all(np.isfinite(table.F))
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_m1_same_bits_at_jet_order_0(self, sol_default, sol_order0,
+                                         beta):
+        # order 0 is solved before the sweep and never reads it, and the
+        # tails beyond x_right are order 0 at any jet order
+        req = DistRequest(beta=beta, s_grid=np.linspace(-10.0, 9.5, 391))
+        full = dist.cdf(req, sol_default)
+        low = dist.cdf(req, sol_order0)
+        assert low.F.tobytes() == full.F.tobytes()
+        assert low.f.tobytes() == full.f.tobytes()
+
+    def test_grid_just_left_of_solution(self, sol_default):
+        # one range check: a grid a hair left of x_left is refused too
+        x_left = sol_default.config.x_left
+        for step in (5e-10, 5e-9):
+            req = DistRequest(beta=2, s_grid=x_left - step
+                              + np.linspace(0.0, 10.0, 11))
+            with pytest.raises(ValueError, match="range error"):
+                dist.cdf(req, sol_default)
 
     def test_grid_left_of_solution(self, sol_default):
         req = DistRequest(beta=2, s_grid=np.linspace(-11.0, 5.0, 11))

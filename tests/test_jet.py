@@ -119,13 +119,13 @@ def test_gridded_jets_match_columns():
 
 
 def test_aj_first_values():
-    a = jet.aj_sequence(4, method="recursion")
+    a = jet.aj_recursion(4)
     assert a == [1.0, 1.0, 1.0, 3.0, 9.0]
 
 
 def test_aj_methods_agree_to_j8():
-    a_jet = jet.aj_sequence(8, method="jet")
-    a_rec = jet.aj_sequence(8, method="recursion")
+    a_jet = jet.aj_sequence(8)
+    a_rec = jet.aj_recursion(8)
     for x, y in zip(a_jet, a_rec):
         assert abs(x - y) <= 1e-12 * max(1.0, abs(y))
 
