@@ -128,31 +128,27 @@ def _tables(beta, ms, grid, s_min):
 
 def _grid_from_args(args):
     if args.s is not None:
-        # five-point stencil around s so the density has full accuracy
-        return args.s + 1e-3 * np.arange(-2.0, 3.0), True
+        return np.array([args.s])
     lo, hi, step = args.s_min, args.s_max, args.s_step
     if not (hi > lo and step > 0):
         raise ValueError("need s-max > s-min and s-step > 0")
     n = int(round((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, n), False
+    return np.linspace(lo, hi, n)
 
 
 def cmd_table(args):
     if args.tw_convention and args.beta != 4:
         raise ValueError("--tw-convention applies to beta 4 only")
-    grid, single = _grid_from_args(args)
+    grid = _grid_from_args(args)
     # the Tracy-Widom normalization F_4^TW(s) = F_4(sqrt(2) s): the
     # default table read at sqrt(2) s
     scale = math.sqrt(2.0) if args.tw_convention else 1.0
     solve_grid = grid * scale
     tables = _tables(args.beta, args.m, solve_grid,
                      float(solve_grid[0]))
-    s, keep = grid.tolist(), slice(None)
-    if single:
-        # report the centre of the stencil
-        s, keep = [args.s], slice(2, 3)
-    blocks = [{"beta": t.beta, "m": t.m, "s": s, "F": t.F[keep].tolist(),
-               "f": (t.f[keep] * scale).tolist()} for t in tables]
+    blocks = [{"beta": t.beta, "m": t.m, "s": grid.tolist(),
+               "F": t.F.tolist(), "f": (t.f * scale).tolist()}
+              for t in tables]
     lines = []
     for b in blocks:
         lines.append(f"# beta={b['beta']} m={b['m']}")

@@ -12,6 +12,11 @@ coefficients at lambda = 1: the step from m to m+1 equals
 (-1)^m/m! times the m-th lambda-derivative of D (of sqrt(D) for
 beta in {1, 4}), and derivative/m! is precisely Taylor coefficient m,
 so F(s, m) = sum_{k=0}^{m-1} (-1)^k c_k.
+
+The density f = dF/ds telescopes the same way from the s-derivatives of
+the c_k.  Every determinant is built from exponentials exp(L), L linear
+in I and J, and d/ds exp(L) = L' exp(L) with I' from the solve and
+J' = -q; so f is exact to the jets, point by point, on any grid.
 """
 
 import dataclasses
@@ -21,8 +26,7 @@ import math
 import numpy as np
 from scipy.integrate import simpson
 
-from .jet import jet_exp, jet_mul, jet_sqrt
-from .painleve import JetBundle
+from .jet import jet_div, jet_exp, jet_mul, jet_sqrt
 
 # below this the jet square root is dominated by roundoff of the
 # underflowing constant term; the distribution value there is 0 anyway
@@ -46,8 +50,8 @@ class DistRequest:
             raise ValueError("m must be an integer >= 1")
         grid = self.s_grid if self.s_grid is not None else _default_grid()
         grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("s_grid must be a 1-d array of at least 2 points")
+        if grid.ndim != 1 or grid.size == 0:
+            raise ValueError("s_grid must be a non-empty 1-d array")
         if not np.all(np.isfinite(grid)) or not np.all(np.diff(grid) > 0):
             raise ValueError("s_grid must be finite and strictly ascending")
         grid.setflags(write=False)
@@ -91,50 +95,58 @@ def _at_tilde(a):
     return out
 
 
-def _d2_of(bundle):
-    return jet_exp(-bundle.I)
+def _exps(L, dL):
+    # exp(L) and its s-derivative L' exp(L) for lists of exponent jets,
+    # stacked on axis 1: one jet_exp and one jet_mul for all of them,
+    # each column computed as it would be on its own
+    e = jet_exp(np.array(L).swapaxes(0, 1))
+    return e, jet_mul(np.array(dL).swapaxes(0, 1), e)
 
 
-def _d1_of(bundle):
-    # assembled from pure exponentials: hyperbolics of mu times D2 would
-    # produce e^{J0}-sized intermediates cancelling down to tiny
-    # coefficients, while the exponents -I +- J only involve the much
-    # smaller coefficient differences
-    I, J = bundle.I, bundle.J
-    # the constant jets, shaped to broadcast over the s axes
-    col = (-1,) + (1,) * (I.ndim - 1)
-    minus, plus = (c.reshape(col) for c in _one_pm_root_tilde(len(I) - 1))
-    i_t = _at_tilde(I)
-    mu_t = _at_tilde(J)
-    e = jet_exp(-i_t)
+def _d1_of(I, dI, J, dJ):
+    # D1 and its s-derivative, from I and J at lt and their
+    # s-derivatives.  Assembled from pure exponentials: hyperbolics of
+    # mu times D2 would produce e^{J0}-sized intermediates cancelling
+    # down to tiny coefficients, while the exponents -I +- J only
+    # involve the much smaller coefficient differences.
+    e, de = _exps([-I, J - I, -(I + J)], [-dI, dJ - dI, -(dI + dJ)])
+    # axes: order, value or s-derivative, exponential, s...
+    e = np.array([e, de]).swapaxes(0, 1)
+    # the constant jets 1 -+ sqrt(lt), shaped to broadcast over the rest
+    pm = _one_pm_root_tilde(len(I) - 1).T.reshape(
+        (-1, 1, 2) + (1,) * (e.ndim - 3))
+    p = jet_mul(pm, e[:, :, 1:])
     # (lambda - 1) e is e shifted up one order; + 0.0 turns the -0.0 of
     # e[1] into the +0.0 that jet_mul would give
-    combo = np.concatenate([np.zeros_like(e[:1]), e[:-1]]) + 0.0 \
-        - 0.5 * jet_mul(minus, jet_exp(mu_t - i_t)) \
-        - 0.5 * jet_mul(plus, jet_exp(-(i_t + mu_t)))
+    e0 = e[:, :, 0]
+    combo = np.concatenate([np.zeros_like(e0[:1]), e0[:-1]]) + 0.0 \
+        - 0.5 * p[:, :, 0] - 0.5 * p[:, :, 1]
     # 1/(lambda - 2) = -sum_k (lambda - 1)^k
-    return jet_mul(combo, np.full_like(minus, -1.0))
-
-
-def _root4_of(bundle):
-    # sqrt(D4) = e^{-I/2} cosh(J/2), split the same way
-    return 0.5 * (jet_exp(0.5 * (bundle.J - bundle.I))
-                  + jet_exp(-0.5 * (bundle.I + bundle.J)))
+    d = jet_mul(combo, np.full_like(pm[:, :, 0], -1.0))
+    return d[:, 0], d[:, 1]
 
 
 def _root_of(bundle, beta):
-    # the jet whose Taylor coefficients feed the telescoping sum:
-    # D2 itself, or the square root of D1/D4; columns where D1
-    # underflows are left zero
+    # the jet whose Taylor coefficients feed the telescoping sum, D2
+    # itself or the square root of D1/D4, and its s-derivative, from
+    # I' and J' = -q
+    I, dI, J, dJ = bundle.I, bundle.Iprime, bundle.J, -bundle.q
     if beta == 2:
-        return _d2_of(bundle)
+        e = jet_exp(-I)
+        return e, jet_mul(-dI, e)
     if beta == 4:
-        return _root4_of(bundle)
-    d1 = _d1_of(bundle)
-    root = np.zeros_like(d1)
+        # sqrt(D4) = e^{-I/2} cosh(J/2), split into exponentials as D1 is
+        e, de = _exps([0.5 * (J - I), -0.5 * (I + J)],
+                      [0.5 * (dJ - dI), -0.5 * (dI + dJ)])
+        return 0.5 * (e[:, 0] + e[:, 1]), 0.5 * (de[:, 0] + de[:, 1])
+    # d/ds commutes with the substitution of lt
+    d1, dd1 = _d1_of(*(_at_tilde(a) for a in (I, dI, J, dJ)))
+    # columns where D1 underflows come out zero; 1 stands in for them
     ok = ~(d1[0] < _UNDERFLOW)
-    root[:, ok] = jet_sqrt(d1[:, ok])
-    return root
+    root = jet_sqrt(np.where(ok, d1, 1.0))
+    # root^2 = D1, so root' = D1' / (2 root)
+    droot = jet_div(0.5 * dd1, root)
+    return np.where(ok, root, 0.0), np.where(ok, droot, 0.0)
 
 
 def _telescope(root, m):
@@ -143,30 +155,16 @@ def _telescope(root, m):
     total = root[0].copy()
     for k in range(1, m):
         total += (-1.0) ** k * root[k]
-    return np.clip(total, 0.0, 1.0)
-
-
-def _density(F, h):
-    # 5-point first-derivative stencils, one-sided at the edges
-    n = F.size
-    f = np.empty_like(F)
-    f[2:-2] = (F[:-4] - 8.0 * F[1:-3] + 8.0 * F[3:-1] - F[4:]) / (12.0 * h)
-    f[0] = (-25.0 * F[0] + 48.0 * F[1] - 36.0 * F[2]
-            + 16.0 * F[3] - 3.0 * F[4]) / (12.0 * h)
-    f[1] = (-3.0 * F[0] - 10.0 * F[1] + 18.0 * F[2]
-            - 6.0 * F[3] + F[4]) / (12.0 * h)
-    f[n - 2] = (3.0 * F[n - 1] + 10.0 * F[n - 2] - 18.0 * F[n - 3]
-                + 6.0 * F[n - 4] - F[n - 5]) / (12.0 * h)
-    f[n - 1] = (25.0 * F[n - 1] - 48.0 * F[n - 2] + 36.0 * F[n - 3]
-                - 16.0 * F[n - 4] + 3.0 * F[n - 5]) / (12.0 * h)
-    return f
+    return total
 
 
 def cdf(req, sol):
-    """Tabulate F_beta(s, m) and its density on the requested grid.
+    """Tabulate F_beta(s, m) and its density f = dF/ds on the requested grid.
 
     F(s, m) = sum_{k < m} (-1)^k c_k reads only the Taylor coefficients
-    c_0..c_{m-1}, so the jets are assembled to order m - 1 alone.
+    c_0..c_{m-1}, so only jet orders 0..m-1 are evaluated.  f is the
+    same sum over the s-derivatives of the c_k: exact to the jets at
+    each point, and independent of the rest of the grid.
 
     Parameters
     ----------
@@ -180,26 +178,13 @@ def cdf(req, sol):
     Raises
     ------
     ValueError
-        If m exceeds what the jet order can produce: coefficients
-        0..m-1 are required, so m may be at most jet_order + 1.  Or,
-        from ``sol.jets``, if the grid extends left of the solution.
+        From ``sol.jets``: a capability error if m > jet_order + 1, or
+        a range error if the grid extends left of the solution.
     """
-    if req.m > sol.jet_order + 1:
-        raise ValueError(f"capability error: m = {req.m} needs jet order "
-                         f"{req.m - 1}, the solution has {sol.jet_order}")
-    # coefficient k of every jet operation reads only orders <= k, so
-    # cutting the bundle to orders < m leaves each c_k bit-identical
-    bundle = JetBundle(*(a[:req.m] for a in sol.jets(req.s_grid)))
-    F = _telescope(_root_of(bundle, req.beta), req.m)
-
-    steps = np.diff(req.s_grid)
-    h = steps[0]
-    # np.allclose(steps, h, rtol=1e-8, atol=0) without its overhead
-    if req.s_grid.size >= 5 and np.all(np.abs(steps - h) <= 1e-8 * abs(h)):
-        f = _density(F, h)
-    else:
-        f = np.gradient(F, req.s_grid)
-    return DistTable(s=req.s_grid, F=F, f=f, beta=req.beta, m=req.m)
+    root, droot = _root_of(sol.jets(req.s_grid, req.m - 1), req.beta)
+    F = np.clip(_telescope(root, req.m), 0.0, 1.0)
+    return DistTable(s=req.s_grid, F=F, f=_telescope(droot, req.m),
+                     beta=req.beta, m=req.m)
 
 
 def moments(table):

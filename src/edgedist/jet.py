@@ -20,10 +20,10 @@ _TINY = 1e-300
 def jet_mul(a, b):
     """Truncated Cauchy product: c_k = sum_{i <= k} a_i b_{k-i}.
 
-    The sums are compensated (Neumaier): coefficients that cancel by
-    orders of magnitude, as in the telescoped sums of ``dist``, keep
-    their digits, and swapping the operands changes a result by at most
-    an ulp or so.
+    The sums are compensated (Neumaier, with exact TwoSum errors):
+    coefficients that cancel by orders of magnitude, as in the telescoped
+    sums of ``dist``, keep their digits, and swapping the operands
+    changes a result by at most an ulp or so.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -34,25 +34,29 @@ def jet_mul(a, b):
     for i in range(1, len(a)):
         x = a[i] * b[:len(b) - i]
         t = s[i:] + x
-        err[i:] += np.where(np.abs(s[i:]) >= np.abs(x),
-                            (s[i:] - t) + x, (x - t) + s[i:])
+        # the rounding error of s + x, exactly
+        z = t - s[i:]
+        err[i:] += (s[i:] - (t - z)) + (x - z)
         s[i:] = t
     return s + err
 
 
-def jet_recip(a):
-    """Reciprocal jet; the constant coefficient must be nonzero."""
-    c = np.asarray(a, dtype=float)
-    if np.any(np.abs(c[0]) <= _TINY):
-        raise ZeroDivisionError("singular jet: cannot invert, c0 ~ 0")
-    out = np.empty_like(c)
-    out[0] = 1.0 / c[0]
-    for k in range(1, len(c)):
-        s = c[1] * out[k - 1]
-        for i in range(2, k + 1):
-            s = s + c[i] * out[k - i]
-        out[k] = -out[0] * s
-    return out
+def jet_div(a, b):
+    """Quotient jet a / b, from b_0 q_k = a_k - sum_{0 < i <= k} b_i q_{k-i};
+    the constant coefficient of b must be nonzero."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if len(a) != len(b):
+        raise ValueError("operands must share the truncation order")
+    if np.any(np.abs(b[0]) <= _TINY):
+        raise ZeroDivisionError("singular jet: cannot divide, c0 ~ 0")
+    out = []
+    for k in range(len(a)):
+        s = a[k]
+        for i in range(1, k + 1):
+            s = s - b[i] * out[k - i]
+        out.append(s / b[0])
+    return np.array(out)
 
 
 def jet_sqrt(a):
@@ -101,7 +105,7 @@ def aj_recursion(n_max):
 def aj_sequence(n_max):
     """Derivatives of sqrt(lambda/(2-lambda)) at lambda=1.
 
-    Runs the jet sqrt/recip machinery and rescales the Taylor
+    Runs the jet sqrt/div machinery and rescales the Taylor
     coefficients by j!; agrees with the exact integer recursion
     ``aj_recursion`` to roundoff.
     """
@@ -112,5 +116,5 @@ def aj_sequence(n_max):
     lam[0] = two_minus[0] = 1.0
     if n_max >= 1:
         lam[1], two_minus[1] = 1.0, -1.0
-    s = jet_sqrt(jet_mul(lam, jet_recip(two_minus)))
+    s = jet_sqrt(jet_div(lam, two_minus))
     return [float(c) * math.factorial(j) for j, c in enumerate(s)]

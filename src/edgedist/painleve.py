@@ -167,28 +167,31 @@ class _Dop853Dense(NamedTuple):
                    y_old=np.array([d.y_old for d in steps]),
                    F=np.stack([d.F for d in steps], axis=1), side=side)
 
-    def __call__(self, t):
-        """States at a 1-d array of points, shape (n_states, t.size)."""
+    def __call__(self, t, n=None):
+        """States at a 1-d array of points, shape (n_states, t.size);
+        only the first n states when n is given."""
         t = np.asarray(t, dtype=float)
         i = np.clip(np.searchsorted(self.ts, t, side=self.side) - 1,
                     0, self.h.size - 1)
         x = ((t - self.t_old[i]) / self.h[i])[:, None]
-        y = np.zeros((t.size, self.y_old.shape[1]))
+        y_old = self.y_old[i, :n]
+        y = np.zeros_like(y_old)
         for k, f in enumerate(self.F[::-1]):
-            y += f[i]
+            y += f[i, :n]
             y *= x if k % 2 == 0 else 1 - x
-        y += self.y_old[i]
+        y += y_old
         return y.T
 
 
 def _evaluate(dense, x, order):
     """(5, order + 1, x.size) jets from the order-0 collocation solution
-    and, for order >= 1, the dense output of the jet sweep."""
+    and, for order >= 1, the dense output of the jet sweep, whose states
+    are q, q', I, I', J of order 1, then of order 2, and so on."""
     d0 = dense[0](x)[:, None, :]
     if order == 0:
         return d0
-    return np.concatenate([d0, dense[1](x).reshape(5, order, x.size)],
-                          axis=1)
+    d = dense[1](x, 5 * order).reshape(order, 5, x.size)
+    return np.concatenate([d0, d.transpose(1, 0, 2)], axis=1)
 
 
 class PainleveSolution:
@@ -215,20 +218,25 @@ class PainleveSolution:
     def jet_order(self):
         return self.config.jet_order
 
-    def jets(self, s):
+    def jets(self, s, order=None):
         """Jets of q, q', I, I', J at every point of a 1-d array.
 
-        Each field of the returned bundle has shape (jet_order + 1,
-        s.size).  Valid for s >= x_left; beyond x_right the closed-form
-        boundary jets (which the solve itself uses as right-end data)
-        take over.
+        Each field of the returned bundle holds orders 0..order (default
+        jet_order; a capability error outside 0..jet_order), shape
+        (order + 1, s.size), with the same bits at any order; order 0
+        reads no sweep.  Valid for s >= x_left (a range error
+        otherwise); beyond x_right the closed-form boundary jets (which
+        the solve itself uses as right-end data) take over.
         """
+        M = self.jet_order if order is None else order
+        if not 0 <= M <= self.jet_order:
+            raise ValueError(f"capability error: jet order {M} requested, "
+                             f"the solution has {self.jet_order}")
         s = np.asarray(s, dtype=float)
         cfg = self.config
         if s.size and s.min() < cfg.x_left - 1e-12:
             raise ValueError(f"range error: s = {s.min()} left of solved "
                              f"domain [{cfg.x_left}, inf)")
-        M = self.jet_order
         out = np.empty((5, M + 1, s.size))
         tail = s > cfg.x_right
         if not np.all(tail):
@@ -261,7 +269,8 @@ class LambdaSolution(NamedTuple):
         """(q, q', I, I', J) at a point; closed-form tails beyond x_right."""
         cfg = self.config
         if s < cfg.x_left - 1e-12:
-            raise ValueError(f"s = {s} left of solved domain")
+            raise ValueError(f"range error: s = {s} left of solved "
+                             f"domain [{cfg.x_left}, inf)")
         if s > cfg.x_right:
             ai, aip = specfun.airy(s)
             r = math.sqrt(self.lam)
@@ -422,7 +431,11 @@ def solve(config=None):
                                     dense_output=True)
         if not sweep.success:
             raise SolverError(f"jet sweep failed: {sweep.message}")
-        dense.append(_Dop853Dense.from_solution(sweep.sol))
+        # reorder the states by jet order, so orders 1..k are a prefix
+        d = _Dop853Dense.from_solution(sweep.sol)
+        by_order = np.arange(5 * M).reshape(5, M).T.ravel()
+        dense.append(d._replace(y_old=d.y_old[:, by_order],
+                                F=d.F[..., by_order]))
         diagnostics["sweep"] = {"steps": sweep.t.size}
 
     return PainleveSolution(cfg, dense, diagnostics)

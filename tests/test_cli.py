@@ -187,6 +187,20 @@ def test_table_single_point(tmp_path):
     assert os.listdir(tmp_path) == ["point.csv"]
 
 
+def test_single_point_is_a_grid_row(capsys):
+    # --s evaluates the one point: F and f are the bytes of that row of
+    # a grid table, whatever the grid's step
+    argv = ["table", "--beta", "2", "--m", "1,2"]
+    assert cli.main(argv + ["--s", "-3"]) == 0
+    point = data_lines(capsys.readouterr().out)
+    assert cli.main(argv + ["--s-min", "-3", "--s-max", "-2",
+                            "--s-step", "0.25"]) == 0
+    grid = data_lines(capsys.readouterr().out)
+    assert len(point) == 4 and point[1].startswith("-3,")
+    assert point == [row for row in grid
+                     if row == "s,F,f" or row.startswith("-3,")]
+
+
 def test_table_grid_json(tmp_path):
     out = tmp_path / "t.json"
     rc = cli.main(["table", "--beta", "4", "--m", "1,2",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from edgedist import dist, jet, oracle, painleve
+from edgedist import dist, jet, oracle, painleve, specfun
 from edgedist.dist import DistRequest, DistTable
 from conftest import MOMENT_GRID
 
@@ -21,6 +21,21 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cdf.txt")
 GOLDEN_TOL = {(1, 1): 1e-10, (1, 2): 1e-10, (1, 3): 1e-10, (1, 4): 1e-10,
               (2, 1): 1e-10, (2, 2): 1e-10, (2, 3): 1e-9, (2, 4): 1e-6,
               (4, 1): 1e-10, (4, 2): 1e-10, (4, 3): 1e-4}
+
+# pairs whose density a 5-point difference of F at h = 1e-3 cannot
+# check to 1e-9: their telescoped sums cancel in the left tail (ROADMAP
+# item 2)
+STENCIL_SKIP = {(2, 4), (4, 3), (4, 4)}
+
+
+H = 1e-3
+STEPS = H * np.arange(-2.0, 3.0)
+
+
+def _five_point(F):
+    # central difference from F at x - 2H, ..., x + 2H on the last axis
+    return (F[..., 0] - 8.0 * F[..., 1] + 8.0 * F[..., 3] - F[..., 4]) \
+        / (12.0 * H)
 
 
 class TestRequestValidation:
@@ -38,7 +53,9 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match="ascending"):
             DistRequest(beta=2, s_grid=np.array([0.0, -1.0]))
         with pytest.raises(ValueError):
-            DistRequest(beta=2, s_grid=np.array([1.0]))
+            DistRequest(beta=2, s_grid=np.array([]))
+        # one point is a grid: the density needs no neighbours
+        assert DistRequest(beta=2, s_grid=np.array([1.0])).s_grid.size == 1
         with pytest.raises(ValueError, match="finite"):
             DistRequest(beta=2, s_grid=np.array([0.0, np.nan]))
 
@@ -55,19 +72,19 @@ class TestJetIdentities:
 
     def test_d1_at_lambda_one(self, sol_default):
         b = sol_default.jet_at(-2.0)
-        c0 = dist._d1_of(b)[0]
+        c0 = dist._root_of(b, 1)[0][0] ** 2
         ref = math.exp(-(b.I[0] + b.J[0]))
         assert abs(c0 - ref) <= 1e-12 * ref
 
     def test_d4_at_lambda_one(self, sol_default):
         b = sol_default.jet_at(-2.0)
-        r = dist._root4_of(b)
+        r = dist._root_of(b, 4)[0]
         c0 = jet.jet_mul(r, r)[0]
-        ref = dist._d2_of(b)[0] * math.cosh(0.5 * b.J[0]) ** 2
+        ref = dist._root_of(b, 2)[0][0] * math.cosh(0.5 * b.J[0]) ** 2
         assert abs(c0 - ref) <= 1e-12 * ref
 
     def test_d2_value_against_quadrature(self, sol_default):
-        c0 = dist._d2_of(sol_default.jet_at(-2.0))[0]
+        c0 = dist._root_of(sol_default.jet_at(-2.0), 2)[0][0]
         assert abs(c0 - oracle.nystrom_d2(-2.0)) <= 1e-9
 
     def test_d2_derivative_against_quadrature(self, sol_default):
@@ -75,14 +92,14 @@ class TestJetIdentities:
         h = 1e-3
         v = [oracle.nystrom_d2(-2.0, lam=1.0 - k * h) for k in range(3)]
         fd = (3.0 * v[0] - 4.0 * v[1] + v[2]) / (2.0 * h)
-        c1 = dist._d2_of(sol_default.jet_at(-2.0))[1]
+        c1 = dist._root_of(sol_default.jet_at(-2.0), 2)[0][1]
         assert abs(c1 - fd) <= 1e-8
 
     def test_d4_derivative_against_quadrature(self, sol_default):
         h = 1e-3
         v = [oracle._d4_lambda(-2.0, 1.0 - k * h, 120) for k in range(3)]
         fd = (3.0 * v[0] - 4.0 * v[1] + v[2]) / (2.0 * h)
-        r = dist._root4_of(sol_default.jet_at(-2.0))
+        r = dist._root_of(sol_default.jet_at(-2.0), 4)[0]
         c1 = jet.jet_mul(r, r)[1]
         assert abs(c1 - fd) <= 1e-8
 
@@ -184,28 +201,90 @@ class TestCdf:
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_root_reads_only_lower_orders(self, sol_wide, beta):
-        # cdf cuts the bundle to orders < m before assembly; each root
-        # coefficient must be the full-order one, bit for bit, inside
-        # the solved domain, in the tail and on single-point jets
+        # cdf reads the jets to orders < m only; each coefficient of the
+        # root and of its s-derivative must be the full-order one, bit
+        # for bit, inside the solved domain, in the tail and on
+        # single-point jets
         bundles = [sol_wide.jets(np.linspace(-13.5, 9.5, 461))]
         bundles += [sol_wide.jet_at(s) for s in (-12.0, -4.0, 0.5, 8.0)]
         for b in bundles:
             whole = dist._root_of(b, beta)
             for m in range(1, 5):
                 cut = painleve.JetBundle(*(a[:m] for a in b))
-                assert (dist._root_of(cut, beta).tobytes()
-                        == whole[:m].tobytes())
+                for part, full in zip(dist._root_of(cut, beta), whole):
+                    assert part.tobytes() == full[:m].tobytes()
 
-    @pytest.mark.parametrize("rel, stencil", [(5e-9, True), (2e-8, False)])
-    def test_uniform_step_tolerance(self, sol_default, rel, stencil):
-        # one step off by rel * h: within 1e-8 relative the grid still
-        # counts as uniform and gets the 5-point stencils
-        grid = -2.0 + 0.01 * np.arange(7.0)
-        grid[4:] += rel * 0.01
-        t = dist.cdf(DistRequest(beta=2, s_grid=grid), sol_default)
-        want = (dist._density(t.F, np.diff(grid)[0]) if stencil
-                else np.gradient(t.F, grid))
-        assert np.array_equal(t.f, want)
+    @pytest.mark.parametrize("beta, m", [(b, m) for b in (1, 2, 4)
+                                         for m in (1, 2, 3, 4)
+                                         if (b, m) not in STENCIL_SKIP])
+    def test_density_against_stencil(self, sol_wide, beta, m):
+        # around every 20th point of the moment grid
+        grid = (MOMENT_GRID[::20, None] + STEPS).ravel()
+        t = dist.cdf(DistRequest(beta=beta, m=m, s_grid=grid), sol_wide)
+        fd = _five_point(t.F.reshape(-1, 5))
+        assert np.max(np.abs(t.f[2::5] - fd)) <= 1e-9
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_density_independent_of_grid(self, sol_wide, beta):
+        # each point's density comes from its own jets
+        for m in range(1, 5):
+            fine = dist.cdf(DistRequest(beta=beta, m=m, s_grid=MOMENT_GRID),
+                            sol_wide).f
+            coarse = dist.cdf(DistRequest(beta=beta, m=m,
+                                          s_grid=MOMENT_GRID[::25]),
+                              sol_wide).f
+            assert coarse.tobytes() == fine[::25].tobytes()
+
+    def test_density_beta2_m4_against_eigenvalues(self, sol_default):
+        # E_2(k; s) are the coefficients of prod_j ((1 - mu_j) + t mu_j),
+        # t = 1 - lambda, with mu_j the eigenvalues of the symmetrized
+        # Airy-kernel Nystrom matrix; a 5-point difference of their sum
+        # over k < 4 is the reference
+        def F_ref(s):
+            x, w = oracle._truncate(oracle.build_rule(s, 100))
+            sq = np.sqrt(w)
+            mu = np.linalg.eigvalsh(sq[:, None] * specfun.airy_kernel(
+                x[:, None], x[None, :]) * sq[None, :])
+            poly = np.array([1.0])
+            for u in mu:
+                poly = np.convolve(poly, [1.0 - u, u])[:4]
+            return poly.sum()
+
+        s = np.array([-7.0, -6.5, -6.0])
+        t = dist.cdf(DistRequest(beta=2, m=4, s_grid=s), sol_default)
+        fd = _five_point(np.vectorize(F_ref)(s[:, None] + STEPS))
+        assert np.max(np.abs(t.f - fd)) <= 1e-7
+
+    def test_density_beta4_m3_against_eigenvalues(self, sol_default):
+        # sqrt(D4) = (prod_j (1 - sqrt(lambda) b_j)
+        #             + prod_j (1 + sqrt(lambda) b_j)) / 2
+        # with b_j the eigenvalues of the Ferrari-Spohn matrix, as jets
+        # in lambda - 1 through order 2
+        root_lambda = np.array(painleve.sqrt_lambda_coeffs(2))
+        one = np.eye(1, 3)[0]
+
+        def F_ref(s):
+            b = np.linalg.eigvalsh(oracle._ferrari_spohn(s, 100))
+            lo, hi = one, one
+            for v in b:
+                lo = jet.jet_mul(lo, one - v * root_lambda)
+                hi = jet.jet_mul(hi, one + v * root_lambda)
+            c = 0.5 * (lo + hi)
+            return c[0] - c[1] + c[2]
+
+        s = np.array([-9.0, -8.75, -8.5, -8.25])
+        t = dist.cdf(DistRequest(beta=4, m=3, s_grid=s), sol_default)
+        fd = _five_point(np.vectorize(F_ref)(s[:, None] + STEPS))
+        assert np.max(np.abs(t.f - fd)) <= 5e-6
+
+    def test_density_right_tail(self, sol_default):
+        # beyond x_right, F_2(s, 1) = exp(-I_0) with I_0' = -(Ai'^2 -
+        # s Ai^2): the density keeps full relative accuracy where F
+        # rounds to 1
+        s = np.array([7.0, 8.0])
+        t = dist.cdf(DistRequest(beta=2, s_grid=s), sol_default)
+        want = specfun.ai2_tail(s) * np.exp(-specfun.ai2_weighted_tail(s))
+        np.testing.assert_allclose(t.f, want, rtol=1e-12, atol=0.0)
 
     def test_interlacing_m1(self, sol_default):
         grid = np.linspace(-10.0, 6.0, 1601)

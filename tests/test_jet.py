@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgedist import jet
-from edgedist.jet import jet_exp, jet_mul, jet_recip, jet_sqrt
+from edgedist.jet import jet_div, jet_exp, jet_mul, jet_sqrt
 
 
 def J(*coeffs):
@@ -46,12 +46,12 @@ def test_add_and_scalar_promotion():
 
 def test_recip_sqrt_singular():
     with pytest.raises(ZeroDivisionError, match="singular"):
-        jet_recip(J(0, 1, 0))
+        jet_div(J(1, 0, 0), J(0, 1, 0))
     with pytest.raises(ZeroDivisionError, match="singular"):
         jet_sqrt(J(0, 1, 0))
     # one singular column of a gridded jet is enough
     with pytest.raises(ZeroDivisionError, match="singular"):
-        jet_recip(np.array([[1.0, 0.0], [1.0, 1.0]]))
+        jet_div(J(1, 0)[:, None], np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
 def test_exp_splits_products():
@@ -91,8 +91,21 @@ def test_recip_round_trip(rest, c0, sign):
     # a small constant term amplifies roundoff by (c1/c0)^order, so the
     # leading coefficient is kept away from zero
     a = J(sign * c0, *rest)
-    back = jet_recip(jet_recip(a))
+    one = J(1, 0, 0, 0, 0)
+    back = jet_div(one, jet_div(one, a))
     np.testing.assert_allclose(back, a, rtol=1e-9, atol=1e-9)
+
+
+@given(jets5, st.lists(coeff, min_size=4, max_size=4),
+       st.floats(min_value=0.5, max_value=10.0))
+@settings(max_examples=60, deadline=None)
+def test_div_times_divisor(a, rest, c0):
+    # the quotient times the divisor gives the dividend back
+    b = J(c0, *rest)
+    np.testing.assert_allclose(jet_mul(jet_div(a, b), b), a,
+                               rtol=1e-9, atol=1e-9)
+    with pytest.raises(ValueError, match="truncation order"):
+        jet_div(a, b[:4])
 
 
 @given(st.lists(coeff, min_size=4, max_size=4),
@@ -111,10 +124,10 @@ def test_gridded_jets_match_columns():
     a = rng.uniform(0.5, 2.0, (5, 7))
     b = rng.standard_normal((5, 7))
     const = J(2.0, -1.0, 0.5, 0.0, 0.25)[:, None]
-    grid = jet_mul(jet_sqrt(a), jet_exp(b)) + jet_mul(const, jet_recip(a))
+    grid = jet_mul(jet_sqrt(a), jet_exp(b)) + jet_div(const, a)
     for i in range(a.shape[1]):
         one = jet_mul(jet_sqrt(a[:, i]), jet_exp(b[:, i])) \
-            + jet_mul(const[:, 0], jet_recip(a[:, i]))
+            + jet_div(const[:, 0], a[:, i])
         np.testing.assert_allclose(grid[:, i], one, rtol=1e-14, atol=0.0)
 
 
@@ -139,7 +152,7 @@ def test_immutability():
     # jet operations return new arrays and never write to their operands
     a = J(1, 2, 3)
     b = J(0.5, -1.0, 4.0)
-    for op in (lambda: jet_mul(a, b), lambda: jet_recip(a),
+    for op in (lambda: jet_mul(a, b), lambda: jet_div(b, a),
                lambda: jet_sqrt(a), lambda: jet_exp(a)):
         out = op()
         out[:] = 0.0

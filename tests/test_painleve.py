@@ -215,6 +215,18 @@ class TestSolutionAccess:
         assert sol_default.jet_order == 4
         assert sol_order2.jet_order == 2
 
+    def test_jets_to_lower_order(self, sol_default):
+        # orders 0..k are the same bits whatever k is asked for, inside
+        # the solved domain and in the closed-form tail
+        s = np.linspace(-10.0, 9.5, 391)
+        full = sol_default.jets(s)
+        for k in range(5):
+            for low, whole in zip(sol_default.jets(s, k), full):
+                assert low.tobytes() == whole[:k + 1].tobytes()
+        for k in (-1, 5):
+            with pytest.raises(ValueError, match="capability error"):
+                sol_default.jets(s, k)
+
 class TestLambdaSolve:
     def test_lambda_zero_is_zero(self):
         sol = painleve.solve_at_lambda(0.0)
@@ -226,6 +238,11 @@ class TestLambdaSolve:
         pair = specfun.airy(6.0)
         assert q == pytest.approx(math.sqrt(0.5) * pair.ai, rel=1e-10)
         assert qp == pytest.approx(math.sqrt(0.5) * pair.aip, rel=1e-10)
+
+    def test_left_of_domain(self):
+        # the same message as PainleveSolution.jets
+        with pytest.raises(ValueError, match="range error"):
+            painleve.solve_at_lambda(0.5).at(-10.5)
 
     def test_lambda_validation(self):
         with pytest.raises(ValueError):
