@@ -24,9 +24,9 @@ from . import __version__, dist, jet, oracle, painleve, rmt
 _BETAS = (1, 2, 4)
 _ENSEMBLE_BETA = {"goe": 1, "gue": 2, "gse": 4, "wishart": 1}
 # grid wide enough that every supported (beta, m) has negligible mass
-# outside it; needed by the moment quadrature.  Its solves start half a
-# unit further left.
-_MOMENT_GRID = np.linspace(-13.0, 9.5, 1801)
+# outside it (1 - F_1(12, 1) is about 2e-14); needed by the moment
+# quadrature.  Its solves start half a unit further left.
+_MOMENT_GRID = np.linspace(-13.0, 12.0, 2001)
 _MOMENT_X_LEFT = -13.5
 _TABLE_GRID = (-13.0, 6.0, 0.01)
 

@@ -243,20 +243,23 @@ class PainleveSolution:
             inner = np.clip(s[~tail], cfg.x_left, cfg.x_right)
             out[..., ~tail] = _evaluate(self._dense, inner, M)
         if np.any(tail):
-            x = s[tail]
-            q, qp = boundary_jet(x, M)
-            # I and I' are linear in lambda, J is sqrt(lambda) W
-            lam = (np.arange(M + 1) < 2).astype(float)[:, None]
+            # the jets of sqrt(lambda) and lambda about lambda = 1
             b = np.array(sqrt_lambda_coeffs(M))[:, None]
-            out[..., tail] = (q, qp, lam * specfun.ai2_weighted_tail(x),
-                              -lam * specfun.ai2_tail(x),
-                              b * specfun.ai_tail(x))
+            lam = (np.arange(M + 1) < 2).astype(float)[:, None]
+            out[..., tail] = _tail_state(s[tail], b, lam)
         return JetBundle(*out)
 
     def jet_at(self, s):
         """Jets of q, q', I, I', J at one point; each field has shape
         (jet_order + 1,).  See ``jets``."""
         return JetBundle(*(a[:, 0] for a in self.jets([float(s)])))
+
+
+def _tail_state(x, r, lam):
+    # (q, q', I, I', J) right of x_right, where q = r Ai with r^2 = lam:
+    # I and I' are lam times their closed forms, J is r W
+    ai, aip, T, V, W = specfun.airy_tail(x)
+    return r * ai, r * aip, lam * T, -lam * V, r * W
 
 
 class LambdaSolution(NamedTuple):
@@ -272,10 +275,7 @@ class LambdaSolution(NamedTuple):
             raise ValueError(f"range error: s = {s} left of solved "
                              f"domain [{cfg.x_left}, inf)")
         if s > cfg.x_right:
-            ai, aip = specfun.airy(s)
-            r = math.sqrt(self.lam)
-            return (r * ai, r * aip, self.lam * specfun.ai2_weighted_tail(s),
-                    -self.lam * specfun.ai2_tail(s), r * specfun.ai_tail(s))
+            return _tail_state(s, math.sqrt(self.lam), self.lam)
         return tuple(self.dense(np.array([s]))[:, 0])
 
 
@@ -290,10 +290,7 @@ def solve_at_lambda(lam, config=None):
         raise ValueError("requires 0 <= lam < 1; use solve() at lam = 1")
     cfg = config or SolverConfig()
     xr, xl = cfg.x_right, cfg.x_left
-    ai_r, aip_r = specfun.airy(xr)
-    r = math.sqrt(lam)
-    y0 = [r * ai_r, r * aip_r, lam * specfun.ai2_weighted_tail(xr),
-          -lam * specfun.ai2_tail(xr), r * specfun.ai_tail(xr)]
+    y0 = list(_tail_state(xr, math.sqrt(lam), lam))
 
     def rhs(x, y):
         q, qp, _, ip, _ = y
@@ -326,10 +323,7 @@ def solve(config=None):
     cfg = config or SolverConfig()
     xr, xl, M = cfg.x_right, cfg.x_left, cfg.jet_order
 
-    ai_r, aip_r = specfun.airy(xr)
-    T = specfun.ai2_weighted_tail(xr)
-    V = specfun.ai2_tail(xr)
-    W = specfun.ai_tail(xr)
+    ai_r, aip_r, T, V, W = specfun.airy_tail(xr)
     b = sqrt_lambda_coeffs(max(M, 1))
     diagnostics = {}
 

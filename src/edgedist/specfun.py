@@ -2,8 +2,9 @@
 
 Double-precision Ai and Ai' on the working range [-60, 60], the Airy
 kernel with a confluent branch near the diagonal, and the tail integrals
-of Ai, Ai^2 and (u-x)Ai^2 that seed boundary data elsewhere in the
-package.
+of Ai (by quadrature, from K_{1/3} past 2), Ai^2 and (u-x)Ai^2 (closed
+forms).  ``airy_tail`` gives Ai, Ai' and all three tails at once: the
+Painleve boundary data, and the closed-form values beyond x_right.
 """
 
 from typing import NamedTuple
@@ -32,6 +33,10 @@ def _check_range(x):
     return x
 
 
+def _scalar(v):
+    return float(v) if np.ndim(v) == 0 else v
+
+
 def airy(x):
     """Evaluate Ai(x) and Ai'(x).
 
@@ -45,11 +50,8 @@ def airy(x):
     AiryPair
         Fields ``ai`` and ``aip``; scalars for scalar input, arrays otherwise.
     """
-    xa = _check_range(x)
-    ai, aip, _, _ = special.airy(xa)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return AiryPair(float(ai), float(aip))
-    return AiryPair(ai, aip)
+    ai, aip, _, _ = special.airy(_check_range(x))
+    return AiryPair(_scalar(ai), _scalar(aip))
 
 
 def airy_kernel(x, y):
@@ -74,9 +76,7 @@ def airy_kernel(x, y):
         # K is even in y-x about the midpoint, so the diagonal value there
         # is accurate to O((x-y)^2)
         k = np.where(near, aipm * aipm - m * aim * aim, k)
-    if k.ndim == 0:
-        return float(k)
-    return k
+    return _scalar(k)
 
 
 # Gauss-Laguerre rule for the tail integral at x >= _LAGUERRE_FROM: in
@@ -100,8 +100,11 @@ def ai_tail(x):
     """Tail integral of Ai over (x, infinity).
 
     For x >= 2 a 30-node Gauss-Laguerre rule in the scaled variable,
-    sum_i w_i e^{v_i} Ai(x + v_i/sqrt(x)) / sqrt(x), evaluated for all
-    such points at once; below 2 adaptive quadrature per point.
+    sum_i w_i e^{v_i} Ai(u_i) / sqrt(x) with u_i = x + v_i/sqrt(x),
+    evaluated for all such points at once.  At the nodes, all past 2,
+    Ai(u) = sqrt(u/3) K_{1/3}((2/3) u^{3/2}) / pi costs about a sixth
+    of ``special.airy``, which also computes Ai', Bi and Bi'.  Below 2
+    adaptive quadrature per point.
     """
     xa = _check_range(x)
     flat = xa.ravel()
@@ -109,20 +112,33 @@ def ai_tail(x):
     far = flat >= _LAGUERRE_FROM
     if np.any(far):
         r = np.sqrt(flat[far])
-        ai = special.airy(flat[far, None] + _LAGUERRE_V / r[:, None])[0]
-        out[far] = ai @ _LAGUERRE_W / r
+        u = flat[far, None] + _LAGUERRE_V / r[:, None]
+        su = np.sqrt(u)
+        ai = su * special.kv(1.0 / 3.0, (2.0 / 3.0) * u * su)
+        out[far] = ai @ _LAGUERRE_W / (np.pi * np.sqrt(3.0) * r)
     out[~far] = [_ai_tail_one(float(v)) for v in flat[~far]]
-    if xa.ndim == 0:
-        return float(out[0])
-    return out.reshape(xa.shape)
+    return _scalar(out.reshape(xa.shape))
+
+
+def _ai2_tails(x):
+    # Ai, Ai' and the closed forms of ai2_weighted_tail and ai2_tail
+    ai, aip, _, _ = special.airy(x)
+    T = -(ai * aip) / 3.0 - (2.0 / 3.0) * x * aip * aip \
+        + (2.0 / 3.0) * x * x * ai * ai
+    return ai, aip, T, aip * aip - x * ai * ai
+
+
+def airy_tail(x):
+    """(Ai, Ai', T, V, W) at x from one Airy call, where the tail integrals
+    T, V and W are ``ai2_weighted_tail``, ``ai2_tail`` and ``ai_tail``;
+    scalars for scalar input."""
+    W = ai_tail(x)  # checks the range
+    return (*map(_scalar, _ai2_tails(np.asarray(x, dtype=float))), W)
 
 
 def ai2_tail(x):
     """Tail integral of Ai^2 over (x, infinity), closed form Ai'^2 - x Ai^2."""
-    xa = _check_range(x)
-    ai, aip, _, _ = special.airy(xa)
-    v = aip * aip - xa * ai * ai
-    return float(v) if v.ndim == 0 else v
+    return _scalar(_ai2_tails(_check_range(x))[3])
 
 
 def ai2_weighted_tail(x):
@@ -131,8 +147,4 @@ def ai2_weighted_tail(x):
     Closed form: -(1/3) Ai Ai' - (2/3) x Ai'^2 + (2/3) x^2 Ai^2, which is
     an antiderivative of -(Ai'^2 - u Ai^2) evaluated at x.
     """
-    xa = _check_range(x)
-    ai, aip, _, _ = special.airy(xa)
-    v = -(ai * aip) / 3.0 - (2.0 / 3.0) * xa * aip * aip \
-        + (2.0 / 3.0) * xa * xa * ai * ai
-    return float(v) if v.ndim == 0 else v
+    return _scalar(_ai2_tails(_check_range(x))[2])

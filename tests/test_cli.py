@@ -259,6 +259,15 @@ def test_moments_csv(tmp_path):
     assert float(kurt) == pytest.approx(0.093448, abs=2e-3)
 
 
+def test_moments_beta1_kurtosis_against_bornemann(capsys):
+    # Bornemann, Markov Process. Related Fields 16 (2010): the GOE excess
+    # kurtosis is 0.1652429384.  It is the moment most sensitive to the
+    # right tail the moment grid cuts off: cut at s = 9.5 it is 4.4e-7 off
+    assert cli.main(["moments", "--beta", "1"]) == 0
+    kurt = float(data_lines(capsys.readouterr().out)[1].split(",")[5])
+    assert abs(kurt - 0.1652429384) <= 1e-9
+
+
 def test_simulate_rerun_identical(tmp_path):
     out = tmp_path / "sim.csv"
     argv = ["simulate", "--ensemble", "gue", "--n", "6", "--reps", "15",

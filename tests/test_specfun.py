@@ -88,17 +88,17 @@ def test_kernel_seam_accuracy():
     # kernel; the kernel itself varies by ~|dK/dy| * 2e-7 across the
     # seam, so each side is compared to a 40-digit reference
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
 
     def ref(a, b):
         num = mp.airyai(a) * mp.airyai(b, 1) - mp.airyai(a, 1) * mp.airyai(b)
         return float(num / (a - b))
 
     x = -0.7
-    for off in (0.9e-6, 1.1e-6):
-        got = specfun.airy_kernel(x, x + off)
-        want = ref(mp.mpf(x), mp.mpf(x) + mp.mpf(off))
-        assert got == pytest.approx(want, abs=5e-10)
+    with mp.workdps(40):
+        for off in (0.9e-6, 1.1e-6):
+            got = specfun.airy_kernel(x, x + off)
+            want = ref(mp.mpf(x), mp.mpf(x) + mp.mpf(off))
+            assert got == pytest.approx(want, abs=5e-10)
 
 
 def test_kernel_integral_representation():
@@ -132,15 +132,16 @@ def test_ai_tail_laguerre_against_mpmath():
     # reference, and its agreement with the per-point quadrature at the
     # switch-over point
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 30
     xs = np.array([2.0, 3.5, 6.0, 9.5, 14.0])
     got = specfun.ai_tail(xs)
-    for x, g in zip(xs, got):
-        # Ai decays on the scale 1/sqrt(x)
-        h = 1.0 / math.sqrt(x)
-        ref = mp.quad(mp.airyai, [x + k * h for k in (0, 1, 2, 4, 8, 16, 32)]
-                      + [mp.inf])
-        assert abs(g / float(ref) - 1.0) <= 5e-14
+    with mp.workdps(30):
+        for x, g in zip(xs, got):
+            # Ai decays on the scale 1/sqrt(x)
+            h = 1.0 / math.sqrt(x)
+            ref = mp.quad(mp.airyai,
+                          [x + k * h for k in (0, 1, 2, 4, 8, 16, 32)]
+                          + [mp.inf])
+            assert abs(g / float(ref) - 1.0) <= 5e-14
     assert specfun.ai_tail(2.0) == pytest.approx(
         specfun._ai_tail_one(2.0), rel=1e-12)
 
@@ -156,3 +157,66 @@ def test_ai2_tails_against_quadrature():
             epsabs=1e-13, limit=300)
         assert specfun.ai2_weighted_tail(x) == pytest.approx(
             weighted, abs=1e-10)
+
+
+# the tails beyond x_right = 6 that the Painleve solution serves, on 301
+# points of [6, 60], against references at the same doubles
+SERVED = np.linspace(6.0, 60.0, 301)
+# bands [6, 9.5], (9.5, 20], (20, 40] and (40, 60]
+BAND = np.searchsorted([9.5, 20.0, 40.0], SERVED)
+
+
+@pytest.fixture(scope="module")
+def served_tails():
+    mp = pytest.importorskip("mpmath")
+    ref = {"W": [], "V": [], "T": []}
+    for x in map(mp.mpf, SERVED):
+        # 1/3 - int_0^x Ai cancels 136 digits at x = 60; 200 leave 64
+        with mp.workdps(200):
+            ref["W"].append(float(1 / mp.mpf(3) - mp.airyai(x, -1)))
+        # the closed forms cancel 9 digits at most; 200 give the same
+        # doubles as 40
+        with mp.workdps(40):
+            ai, aip = mp.airyai(x), mp.airyai(x, 1)
+            ref["V"].append(float(aip * aip - x * ai * ai))
+            ref["T"].append(float(-ai * aip / 3 - 2 * x * aip * aip / 3
+                                  + 2 * x * x * ai * ai / 3))
+    return {k: np.array(v) for k, v in ref.items()}
+
+
+def band_errors(got, ref):
+    err = np.abs(got / ref - 1.0)
+    return [err[BAND == i].max() for i in range(4)]
+
+
+def test_ai_tail_over_served_range(served_tails):
+    # the bounds sit at special.airy's own relative error for Ai in each
+    # band (3.8e-15, 1.1e-14, 3.7e-14, 7.2e-14), which q = Ai beyond
+    # x_right already carries; the K_{1/3} rule measures 3.6e-15,
+    # 7.6e-15, 2.0e-14, 4.8e-14 here
+    errs = band_errors(specfun.ai_tail(SERVED), served_tails["W"])
+    for err, bound in zip(errs, (5e-15, 2e-14, 5e-14, 1e-13)):
+        assert err <= bound
+
+
+def test_ai2_tails_over_served_range(served_tails):
+    # the closed forms cancel: V = Ai'^2 - x Ai^2 mildly, T = I beyond
+    # x_right heavily, so 1 - F_2 there has about 2e-12 relative error
+    # at best; the bounds are the measured maxima, rounded up
+    errs = band_errors(specfun.ai2_tail(SERVED), served_tails["V"])
+    for err, bound in zip(errs, (5.3e-14, 1.3e-13, 5.8e-13, 1.2e-12)):
+        assert err <= bound
+    errs = band_errors(specfun.ai2_weighted_tail(SERVED), served_tails["T"])
+    for err, bound in zip(errs, (2.0e-12, 1.4e-11, 1.9e-10, 6.0e-10)):
+        assert err <= bound
+
+
+@pytest.mark.parametrize("x", [SERVED, 6.0, 1.5, -4.0])
+def test_airy_tail_is_its_parts(x):
+    got = specfun.airy_tail(x)
+    pair = specfun.airy(x)
+    want = (pair.ai, pair.aip, specfun.ai2_weighted_tail(x),
+            specfun.ai2_tail(x), specfun.ai_tail(x))
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        assert np.array_equal(g, w)
