@@ -15,13 +15,24 @@ first approximation down to the patch point, the asymptotic expansions
 continue it leftward, and a collocation solve over the full interval
 refines everything.  The expansions also anchor the left boundary values
 of the order-0 and order-1 components.
+
+Each configuration is solved once per machine: ``solve`` keeps the
+solution's arrays in an on-disk cache (see ``solve``) and rebuilds the
+same interpolants from them, so a cached solution gives the same bits.
 """
 
+import bisect
+import contextlib
 import dataclasses
+import hashlib
 import math
+import os
+import tempfile
+import zipfile
 from typing import ClassVar, NamedTuple
 
 import numpy as np
+import scipy
 from scipy import integrate, interpolate
 
 from . import specfun
@@ -40,6 +51,9 @@ _PATCH_POINT = -8.0
 _MESH_STEP = 0.005
 _BVP_TOL = 1e-10
 _SWEEP_RTOL = 1e-12
+
+# Layout version of the solution cache's files; part of the code key
+_CACHE_FORMAT = 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -306,6 +320,17 @@ def solve_at_lambda(lam, config=None):
 def solve(config=None):
     """Solve the Painleve II system with jets through the configured order.
 
+    The solution is cached on disk, one file per configuration, at
+    ``<root>/edgedist/<code key>-x<x_left>-j<jet_order>.npz``: <root> is
+    $XDG_CACHE_HOME, or ~/.cache when that is unset, and the code key a
+    SHA-256 of this module's and ``specfun``'s sources, the numpy and
+    scipy versions and the file format.  Each call first reads its
+    file; a file that is missing or fails any check (format, config,
+    array shapes; it is read without pickle) is a miss, which solves and
+    writes the file, then deletes the files of other code keys.  A
+    cache that cannot be written only costs the solve.  A cached
+    solution gives the same bits as the solve that wrote it.
+
     Parameters
     ----------
     config : SolverConfig, optional
@@ -313,6 +338,8 @@ def solve(config=None):
     Returns
     -------
     PainleveSolution
+        ``diagnostics["cache"]["hit"]`` says whether it came from the
+        cache; the other diagnostics are those of the solve.
 
     Raises
     ------
@@ -321,6 +348,91 @@ def solve(config=None):
         non-convergence; the message carries the worst residual.
     """
     cfg = config or SolverConfig()
+    sol = _load(cfg)
+    hit = sol is not None
+    if not hit:
+        sol = _solve(cfg)
+        _store(sol)
+    sol.diagnostics["cache"] = {"hit": hit}
+    return sol
+
+
+def _cache_path(cfg):
+    """The cache file of ``cfg``; see ``solve``."""
+    root = (os.environ.get("XDG_CACHE_HOME")
+            or os.path.join(os.path.expanduser("~"), ".cache"))
+    key = hashlib.sha256(f"format {_CACHE_FORMAT} numpy {np.__version__} "
+                         f"scipy {scipy.__version__}".encode())
+    for source in (__file__, specfun.__file__):
+        with open(source, "rb") as fh:
+            key.update(fh.read())
+    return os.path.join(root, "edgedist", f"{key.hexdigest()}-"
+                        f"x{cfg.x_left!r}-j{cfg.jet_order}.npz")
+
+
+def _load(cfg):
+    """The cached solution of ``cfg``, or None if it cannot be read."""
+    M = cfg.jet_order
+    try:
+        with np.load(_cache_path(cfg), allow_pickle=False) as z:
+            a = {name: z[name] for name in z.files}
+        n = a["x"].size
+        shapes = {"key": (3,), "residual": (), "x": (n,), "c": (4, n - 1, 5)}
+        if M:
+            k = a["h"].size
+            shapes.update(ts=(k + 1,), t_old=(k,), h=(k,), y_old=(k, 5 * M),
+                          F=a["F"].shape[:1] + (k, 5 * M))
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return None
+    if (set(a) != set(shapes) | ({"side"} if M else set())
+            or any(a[f].shape != shape or a[f].dtype != np.float64
+                   for f, shape in shapes.items())
+            or not np.array_equal(a["key"], [_CACHE_FORMAT, cfg.x_left, M])
+            or M and str(a["side"]) not in ("left", "right")):
+        return None
+    # solve_bvp's spline evaluates along axis 1
+    dense = [interpolate.PPoly.construct_fast(a["c"], a["x"], True, 1)]
+    diagnostics = {"order0": {"nodes": n,
+                              "max_rms_residual": float(a["residual"])}}
+    if M:
+        a["side"] = str(a["side"])
+        dense.append(_Dop853Dense(**{f: a[f] for f in _Dop853Dense._fields}))
+        diagnostics["sweep"] = {"steps": a["ts"].size}
+    return PainleveSolution(cfg, dense, diagnostics)
+
+
+def _store(sol):
+    """Write ``sol`` to its cache file, then delete the files of other
+    code keys; a failure to write leaves the cache as it was."""
+    cfg = sol.config
+    spline = sol._dense[0]
+    arrays = {"key": np.array([_CACHE_FORMAT, cfg.x_left, cfg.jet_order],
+                              dtype=float),
+              "residual": sol.diagnostics["order0"]["max_rms_residual"],
+              "c": spline.c, "x": spline.x}
+    if cfg.jet_order:
+        arrays.update(sol._dense[1]._asdict())
+    with contextlib.suppress(OSError):
+        path = _cache_path(cfg)
+        folder, name = os.path.split(path)
+        os.makedirs(folder, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=folder, prefix=".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, **arrays)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        code = name.split("-")[0] + "-"
+        for other in os.listdir(folder):
+            if other.endswith(".npz") and not other.startswith(code):
+                with contextlib.suppress(OSError):
+                    os.unlink(os.path.join(folder, other))
+
+
+def _solve(cfg):
+    """The solve behind ``solve``, without the cache."""
     xr, xl, M = cfg.x_right, cfg.x_left, cfg.jet_order
 
     ai_r, aip_r, T, V, W = specfun.airy_tail(xr)
@@ -402,11 +514,22 @@ def solve(config=None):
     # the Painleve system applied to the full jet of q, with q0 taken from
     # the collocation solution.
     if M >= 1:
-        q0 = interpolate.PPoly(res.sol.c[:, :, :1], res.sol.x)
+        # q0 from the collocation spline as PPoly evaluates it, with the
+        # same operations in the same order, but without its per-call
+        # overhead: this runs at every stage of every step
+        knots = res.sol.x.tolist()
+        coef = res.sol.c[:, :, 0].T.tolist()
+        last = len(knots) - 2
+
+        def q0(x):
+            i = min(max(bisect.bisect_right(knots, x) - 1, 0), last)
+            c0, c1, c2, c3 = coef[i]
+            d = x - knots[i]
+            return ((c3 + c2 * d) + c1 * (d * d)) + c0 * ((d * d) * d)
 
         def rhs(x, y):
             q, qp, _, ip, _ = y.reshape(5, M)
-            qj = np.concatenate((q0(x), q))
+            qj = np.concatenate(((q0(x),), q))
             # Cauchy products (q^2)_k and (q^3)_k, k = 0..M
             sq = np.convolve(qj, qj)[:M + 1]
             cube = np.convolve(sq, qj)

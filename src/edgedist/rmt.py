@@ -252,7 +252,7 @@ def _invert_cdf(table, p):
     if not f[0] <= p <= f[-1]:
         raise ValueError(
             f"range error: percentile {p} outside table mass "
-            f"[{f[0]:.3g}, {f[-1]:.3g}]")
+            f"[{float(f[0])!r}, {float(f[-1])!r}]")
     # F is nondecreasing; flat stretches at 0 and 1 are harmless since
     # searchsorted picks the first crossing
     i = int(np.searchsorted(f, p, side="left"))

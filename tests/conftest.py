@@ -1,7 +1,8 @@
 """Shared fixtures.
 
 The Painleve solves are the expensive part of the suite, so each
-configuration is solved once per session and reused.
+configuration is solved once per session and reused.  The solution
+cache of the session lives in a directory of its own, never the user's.
 """
 
 import numpy as np
@@ -10,6 +11,14 @@ import pytest
 from edgedist import dist, painleve
 
 MOMENT_GRID = np.linspace(-13.0, 9.5, 1801)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def solution_cache(tmp_path_factory):
+    # set before the first solve; subprocesses (the demos) inherit it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import math
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -226,6 +229,142 @@ class TestSolutionAccess:
         for k in (-1, 5):
             with pytest.raises(ValueError, match="capability error"):
                 sol_default.jets(s, k)
+
+def _sha(sol, s):
+    # one digest over all five jet fields at the points s
+    h = hashlib.sha256()
+    for field in sol.jets(s):
+        h.update(field.tobytes())
+    return h.hexdigest()
+
+
+class TestSolutionCache:
+    """``solve`` keeps one file per configuration under
+    $XDG_CACHE_HOME/edgedist; each test starts from an empty root."""
+
+    @pytest.fixture(autouse=True)
+    def root(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        return tmp_path
+
+    @pytest.fixture(scope="class")
+    def entry(self, tmp_path_factory):
+        # the bytes of the cache file of a jet-order-1 solve
+        cfg = SolverConfig(jet_order=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("c")))
+            painleve.solve(cfg)
+            with open(painleve._cache_path(cfg), "rb") as fh:
+                return cfg, fh.read()
+
+    @staticmethod
+    def _put(cfg, data):
+        path = painleve._cache_path(cfg)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return path
+
+    @pytest.mark.parametrize("x_left, jet_order",
+                             [(-13.5, 4), (-10.0, 0), (-20.25, 1)])
+    def test_hit_gives_the_same_bits(self, x_left, jet_order):
+        cfg = SolverConfig(x_left=x_left, jet_order=jet_order)
+        fresh = painleve.solve(cfg)
+        cached = painleve.solve(cfg)
+        assert fresh.diagnostics.pop("cache") == {"hit": False}
+        assert cached.diagnostics.pop("cache") == {"hit": True}
+        assert cached.diagnostics == fresh.diagnostics
+        # x_left, x_right, points in between and the Airy tail
+        s = np.concatenate([np.linspace(x_left, 12.0, 2001),
+                            [x_left, 6.0, 6.0 + 1e-9]])
+        assert _sha(cached, s) == _sha(fresh, s)
+
+    def test_configs_are_not_served_for_each_other(self, root):
+        configs = [SolverConfig(jet_order=0), SolverConfig(x_left=-10.5,
+                                                           jet_order=0),
+                   SolverConfig(jet_order=1)]
+        paths = [painleve._cache_path(c) for c in configs]
+        s = np.linspace(-10.0, 8.0, 501)
+        digests = [_sha(painleve.solve(c), s) for c in configs]
+        assert sorted(os.listdir(root / "edgedist")) == sorted(
+            os.path.basename(p) for p in paths)
+        # the first file under the others' names is refused and replaced
+        for cfg, path, digest in zip(configs[1:], paths[1:], digests[1:]):
+            shutil.copyfile(paths[0], path)
+            sol = painleve.solve(cfg)
+            assert sol.diagnostics["cache"] == {"hit": False}
+            assert _sha(sol, s) == digest
+            assert painleve.solve(cfg).diagnostics["cache"] == {"hit": True}
+
+    def test_damaged_file_is_a_miss(self, entry):
+        cfg, data = entry
+        flipped = bytearray(data)
+        flipped[len(data) // 2] ^= 0xFF  # a bad CRC
+        for damaged in (b"", data[:10], data[:len(data) // 3], data[:-1],
+                        bytes(flipped)):
+            self._put(cfg, damaged)
+            assert painleve._load(cfg) is None
+        self._put(cfg, data)
+        assert painleve._load(cfg) is not None
+
+    def test_truncated_file_is_solved_again(self, entry):
+        cfg, data = entry
+        self._put(cfg, data[:len(data) // 2])
+        assert painleve.solve(cfg).diagnostics["cache"] == {"hit": False}
+        assert painleve.solve(cfg).diagnostics["cache"] == {"hit": True}
+
+    @pytest.mark.parametrize("change", [
+        lambda a: a.update(c=a["c"][:, 1:]),
+        lambda a: a.update(F=a["F"][:, :, :4]),
+        lambda a: a.update(key=a["key"] + [1, 0, 0]),
+        lambda a: a.update(side=np.array("up")),
+        lambda a: a.update(h=a["h"].astype(np.float32)),
+        lambda a: a.pop("residual"),
+        lambda a: a.update(extra=np.zeros(3)),
+    ], ids=["shape", "sweep-width", "format", "side", "dtype",
+            "missing", "extra"])
+    def test_malformed_entry_is_refused(self, entry, change):
+        cfg, data = entry
+        path = self._put(cfg, data)
+        with np.load(path) as z:
+            arrays = dict(z)
+        change(arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        assert painleve._load(cfg) is None
+
+    def test_object_array_is_solved_again(self, entry):
+        cfg, data = entry
+        path = self._put(cfg, data)
+        with np.load(path) as z:
+            arrays = dict(z)
+        arrays["c"] = arrays["c"].astype(object)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        assert painleve.solve(cfg).diagnostics["cache"] == {"hit": False}
+        assert painleve.solve(cfg).diagnostics["cache"] == {"hit": True}
+
+    def test_unwritable_root(self, tmp_path, monkeypatch):
+        # makedirs fails under a regular file whatever the permissions
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "cache"))
+        cfg = SolverConfig(jet_order=0)
+        for _ in range(2):
+            sol = painleve.solve(cfg)
+            assert sol.diagnostics["cache"] == {"hit": False}
+        assert sol.jet_at(0.0).q[0] > 0.0
+
+    def test_store_removes_other_code_keys(self, entry, root):
+        cfg, data = entry
+        folder = root / "edgedist"
+        folder.mkdir()
+        (folder / ("0" * 64 + "-x-10.0-j1.npz")).write_bytes(data)
+        (folder / "notes.txt").write_text("")
+        painleve.solve(cfg)
+        assert sorted(os.listdir(folder)) == sorted(
+            [os.path.basename(painleve._cache_path(cfg)), "notes.txt"])
+
 
 class TestLambdaSolve:
     def test_lambda_zero_is_zero(self):

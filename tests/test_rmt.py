@@ -254,6 +254,15 @@ class TestPercentiles:
         with pytest.raises(ValueError, match="range error"):
             rmt._invert_cdf(short, 0.99)
 
+    def test_out_of_mass_message_keeps_every_digit(self, beta1_tables):
+        # the table's mass ends a little below 1, and the message says by
+        # how much instead of rounding it to 1
+        table = beta1_tables[0]
+        with pytest.raises(ValueError, match="outside table mass") as err:
+            rmt._invert_cdf(table, 1.0)
+        upper = float(str(err.value).rsplit(", ", 1)[1].rstrip("]"))
+        assert upper == table.F[-1] < 1.0
+
     def test_nan_level_is_out_of_mass(self, normal_table):
         # NaN fails every comparison, so it must not slip past the check
         with pytest.raises(ValueError, match="outside table mass"):
