@@ -29,6 +29,9 @@ _ENSEMBLE_BETA = {"goe": 1, "gue": 2, "gse": 4, "wishart": 1}
 _MOMENT_GRID = np.linspace(-13.0, 12.0, 2001)
 _MOMENT_X_LEFT = -13.5
 _TABLE_GRID = (-13.0, 6.0, 0.01)
+# largest table grid: a mistyped --s-step (1e-8, say) is refused before
+# it exhausts memory; 190,001 points at m = 1..4 peak at about 360 MB
+_MAX_GRID_POINTS = 1_000_000
 
 
 def _fmt(x):
@@ -132,8 +135,12 @@ def _grid_from_args(args):
     lo, hi, step = args.s_min, args.s_max, args.s_step
     if not (hi > lo and step > 0):
         raise ValueError("need s-max > s-min and s-step > 0")
-    n = int(round((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, n)
+    steps = (hi - lo) / step
+    if not (math.isfinite(steps) and round(steps) < _MAX_GRID_POINTS):
+        raise ValueError(f"the grid from {lo:g} to {hi:g} in steps of "
+                         f"{step:g} has more than {_MAX_GRID_POINTS} "
+                         f"points")
+    return np.linspace(lo, hi, int(round(steps)) + 1)
 
 
 def cmd_table(args):

@@ -25,7 +25,6 @@ _MAX_NODES = 2000
 class QuadratureRule(NamedTuple):
     nodes: np.ndarray
     weights: np.ndarray
-    count: int
 
 
 def build_rule(s, n=200):
@@ -40,7 +39,7 @@ def build_rule(s, n=200):
     w = 0.5 * w
     nodes = s + _L * u / (1.0 - u)
     weights = w * _L / (1.0 - u) ** 2
-    return QuadratureRule(nodes=nodes, weights=weights, count=n)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def _check_args(s, n):

@@ -52,8 +52,10 @@ _MESH_STEP = 0.005
 _BVP_TOL = 1e-10
 _SWEEP_RTOL = 1e-12
 
-# Layout version of the solution cache's files; part of the code key
-_CACHE_FORMAT = 1
+# Layout version of the solution cache's files; part of the code key,
+# with the bytes of these sources
+_CACHE_FORMAT = 2
+_CACHE_SOURCES = (__file__, specfun.__file__)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -145,7 +147,8 @@ class JetBundle(NamedTuple):
 
 
 class _Dop853Dense(NamedTuple):
-    """Dense output of a DOP853 ``solve_ivp`` run, stacked over its steps.
+    """Dense output of a right-to-left DOP853 ``solve_ivp`` run, stacked
+    over its steps.
 
     Evaluates the same piecewise interpolant as the ``OdeSolution`` it was
     built from, with the same floating-point operations in the same order,
@@ -160,32 +163,33 @@ class _Dop853Dense(NamedTuple):
     h: np.ndarray
     y_old: np.ndarray
     F: np.ndarray
-    side: str
 
     @classmethod
     def from_solution(cls, sol):
         """Stack the step data of ``OdeSolution`` ``sol``; SolverError
-        unless every interpolant is scipy's DOP853 dense output."""
+        unless it runs right to left and every interpolant is scipy's
+        DOP853 dense output."""
         kinds = {type(d).__name__ for d in sol.interpolants}
         if kinds != {"Dop853DenseOutput"}:
             raise SolverError(f"jet sweep: expected DOP853 dense output, "
                               f"got {sorted(kinds)}")
-        # OdeSolution breaks ties at a breakpoint towards the step that
-        # ends there: side "left" when ascending, "right" when descending
-        ts, steps, side = sol.ts, sol.interpolants, "left"
-        if ts[-1] < ts[0]:
-            ts, steps, side = ts[::-1], steps[::-1], "right"
+        if not sol.ts[-1] < sol.ts[0]:
+            raise SolverError("jet sweep: expected a right-to-left solve")
+        ts, steps = sol.ts[::-1], sol.interpolants[::-1]
         return cls(ts=np.array(ts),
                    t_old=np.array([d.t_old for d in steps]),
                    h=np.array([d.h for d in steps]),
                    y_old=np.array([d.y_old for d in steps]),
-                   F=np.stack([d.F for d in steps], axis=1), side=side)
+                   F=np.stack([d.F for d in steps], axis=1))
 
     def __call__(self, t, n=None):
         """States at a 1-d array of points, shape (n_states, t.size);
         only the first n states when n is given."""
         t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.ts, t, side=self.side) - 1,
+        # OdeSolution breaks ties at a breakpoint towards the step that
+        # ends there: on a descending solve's reversed breakpoints, the
+        # step to the right
+        i = np.clip(np.searchsorted(self.ts, t, side="right") - 1,
                     0, self.h.size - 1)
         x = ((t - self.t_old[i]) / self.h[i])[:, None]
         y_old = self.y_old[i, :n]
@@ -327,9 +331,11 @@ def solve(config=None):
     scipy versions and the file format.  Each call first reads its
     file; a file that is missing or fails any check (format, config,
     array shapes; it is read without pickle) is a miss, which solves and
-    writes the file, then deletes the files of other code keys.  A
-    cache that cannot be written only costs the solve.  A cached
-    solution gives the same bits as the solve that wrote it.
+    writes the file, then deletes the files of other code keys that are
+    older than the newer of the two sources: a newer file may belong to
+    another checkout sharing the folder.  A cache that cannot be written
+    only costs the solve.  A cached solution gives the same bits as the
+    solve that wrote it.
 
     Parameters
     ----------
@@ -363,7 +369,7 @@ def _cache_path(cfg):
             or os.path.join(os.path.expanduser("~"), ".cache"))
     key = hashlib.sha256(f"format {_CACHE_FORMAT} numpy {np.__version__} "
                          f"scipy {scipy.__version__}".encode())
-    for source in (__file__, specfun.__file__):
+    for source in _CACHE_SOURCES:
         with open(source, "rb") as fh:
             key.update(fh.read())
     return os.path.join(root, "edgedist", f"{key.hexdigest()}-"
@@ -384,18 +390,16 @@ def _load(cfg):
                           F=a["F"].shape[:1] + (k, 5 * M))
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         return None
-    if (set(a) != set(shapes) | ({"side"} if M else set())
+    if (set(a) != set(shapes)
             or any(a[f].shape != shape or a[f].dtype != np.float64
                    for f, shape in shapes.items())
-            or not np.array_equal(a["key"], [_CACHE_FORMAT, cfg.x_left, M])
-            or M and str(a["side"]) not in ("left", "right")):
+            or not np.array_equal(a["key"], [_CACHE_FORMAT, cfg.x_left, M])):
         return None
     # solve_bvp's spline evaluates along axis 1
     dense = [interpolate.PPoly.construct_fast(a["c"], a["x"], True, 1)]
     diagnostics = {"order0": {"nodes": n,
                               "max_rms_residual": float(a["residual"])}}
     if M:
-        a["side"] = str(a["side"])
         dense.append(_Dop853Dense(**{f: a[f] for f in _Dop853Dense._fields}))
         diagnostics["sweep"] = {"steps": a["ts"].size}
     return PainleveSolution(cfg, dense, diagnostics)
@@ -403,7 +407,8 @@ def _load(cfg):
 
 def _store(sol):
     """Write ``sol`` to its cache file, then delete the files of other
-    code keys; a failure to write leaves the cache as it was."""
+    code keys older than the newer of ``_CACHE_SOURCES``; a
+    failure to write leaves the cache as it was."""
     cfg = sol.config
     spline = sol._dense[0]
     arrays = {"key": np.array([_CACHE_FORMAT, cfg.x_left, cfg.jet_order],
@@ -425,10 +430,13 @@ def _store(sol):
             if os.path.exists(tmp):
                 os.unlink(tmp)
         code = name.split("-")[0] + "-"
+        stale = max(map(os.path.getmtime, _CACHE_SOURCES))
         for other in os.listdir(folder):
             if other.endswith(".npz") and not other.startswith(code):
+                other = os.path.join(folder, other)
                 with contextlib.suppress(OSError):
-                    os.unlink(os.path.join(folder, other))
+                    if os.path.getmtime(other) < stale:
+                        os.unlink(other)
 
 
 def _solve(cfg):

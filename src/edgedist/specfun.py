@@ -1,16 +1,17 @@
 """Airy functions, the Airy kernel, and Airy tail integrals.
 
-Double-precision Ai and Ai' on the working range [-60, 60], the Airy
-kernel with a confluent branch near the diagonal, and the tail integrals
-of Ai (by quadrature, from K_{1/3} past 2), Ai^2 and (u-x)Ai^2 (closed
-forms).  ``airy_tail`` gives Ai, Ai' and all three tails at once: the
-Painleve boundary data, and the closed-form values beyond x_right.
+Double-precision Ai and Ai' on the working range [-60, 60], and the
+Airy kernel with a confluent branch near the diagonal.  The tail
+integrals serve the right end of the Painleve solve, x >= x_right = 6:
+``ai_tail`` integrates Ai from K_{1/3} for x >= 2, and ``airy_tail``
+gives Ai, Ai' and the tails of Ai, Ai^2 and (u-x)Ai^2 at once, the last
+two in closed form: the boundary data, and the values beyond x_right.
 """
 
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 # working range of the evaluators
 XMIN = -60.0
@@ -87,64 +88,42 @@ _LAGUERRE_V, _LAGUERRE_W = np.polynomial.laguerre.laggauss(30)
 _LAGUERRE_W = _LAGUERRE_W * np.exp(_LAGUERRE_V)
 
 
-def _ai_tail_one(x):
-    # Ai decays superexponentially; 40 units past max(x, 0) the remainder
-    # is below 1e-70
-    hi = max(x, 0.0) + 40.0
-    val, _ = integrate.quad(lambda t: special.airy(t)[0], x, hi,
-                            epsabs=1e-15, epsrel=1e-13, limit=400)
-    return val
-
-
 def ai_tail(x):
-    """Tail integral of Ai over (x, infinity).
+    """Tail integral of Ai over (x, infinity), for x >= 2.
 
-    For x >= 2 a 30-node Gauss-Laguerre rule in the scaled variable,
+    A 30-node Gauss-Laguerre rule in the scaled variable,
     sum_i w_i e^{v_i} Ai(u_i) / sqrt(x) with u_i = x + v_i/sqrt(x),
-    evaluated for all such points at once.  At the nodes, all past 2,
+    evaluated for all points at once.  At the nodes, all past 2,
     Ai(u) = sqrt(u/3) K_{1/3}((2/3) u^{3/2}) / pi costs about a sixth
-    of ``special.airy``, which also computes Ai', Bi and Bi'.  Below 2
-    adaptive quadrature per point.
+    of ``special.airy``, which also computes Ai', Bi and Bi'.  A range
+    error below 2, where the rule does not hold.
     """
     xa = _check_range(x)
+    if np.any(xa < _LAGUERRE_FROM):
+        raise ValueError(f"range error: the Ai tail integral needs "
+                         f"x >= {_LAGUERRE_FROM}")
     flat = xa.ravel()
-    out = np.empty(flat.shape)
-    far = flat >= _LAGUERRE_FROM
-    if np.any(far):
-        r = np.sqrt(flat[far])
-        u = flat[far, None] + _LAGUERRE_V / r[:, None]
-        su = np.sqrt(u)
-        ai = su * special.kv(1.0 / 3.0, (2.0 / 3.0) * u * su)
-        out[far] = ai @ _LAGUERRE_W / (np.pi * np.sqrt(3.0) * r)
-    out[~far] = [_ai_tail_one(float(v)) for v in flat[~far]]
+    r = np.sqrt(flat)
+    u = flat[:, None] + _LAGUERRE_V / r[:, None]
+    su = np.sqrt(u)
+    ai = su * special.kv(1.0 / 3.0, (2.0 / 3.0) * u * su)
+    out = ai @ _LAGUERRE_W / (np.pi * np.sqrt(3.0) * r)
     return _scalar(out.reshape(xa.shape))
 
 
-def _ai2_tails(x):
-    # Ai, Ai' and the closed forms of ai2_weighted_tail and ai2_tail
+def airy_tail(x):
+    """(Ai, Ai', T, V, W) at x >= 2 from one Airy call; scalars for
+    scalar input.
+
+    T and V are the integrals of (u - x) Ai(u)^2 and Ai(u)^2 over
+    (x, infinity), in closed form: V = Ai'^2 - x Ai^2, and
+    T = -(1/3) Ai Ai' - (2/3) x Ai'^2 + (2/3) x^2 Ai^2, an
+    antiderivative of -V evaluated at x.  W is ``ai_tail``.
+    """
+    W = ai_tail(x)  # checks the range
+    x = np.asarray(x, dtype=float)
     ai, aip, _, _ = special.airy(x)
     T = -(ai * aip) / 3.0 - (2.0 / 3.0) * x * aip * aip \
         + (2.0 / 3.0) * x * x * ai * ai
-    return ai, aip, T, aip * aip - x * ai * ai
-
-
-def airy_tail(x):
-    """(Ai, Ai', T, V, W) at x from one Airy call, where the tail integrals
-    T, V and W are ``ai2_weighted_tail``, ``ai2_tail`` and ``ai_tail``;
-    scalars for scalar input."""
-    W = ai_tail(x)  # checks the range
-    return (*map(_scalar, _ai2_tails(np.asarray(x, dtype=float))), W)
-
-
-def ai2_tail(x):
-    """Tail integral of Ai^2 over (x, infinity), closed form Ai'^2 - x Ai^2."""
-    return _scalar(_ai2_tails(_check_range(x))[3])
-
-
-def ai2_weighted_tail(x):
-    """Integral of (u - x) Ai(u)^2 over (x, infinity).
-
-    Closed form: -(1/3) Ai Ai' - (2/3) x Ai'^2 + (2/3) x^2 Ai^2, which is
-    an antiderivative of -(Ai'^2 - u Ai^2) evaluated at x.
-    """
-    return _scalar(_ai2_tails(_check_range(x))[2])
+    V = aip * aip - x * ai * ai
+    return (*map(_scalar, (ai, aip, T, V)), W)

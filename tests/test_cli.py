@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -144,6 +146,39 @@ class TestArgumentErrors:
                              "--beta", "1", "--percentiles", "0.5"]) == 2
             err = capsys.readouterr().err
             assert "non-finite" in err and "rep 1 k = 1" in err
+
+    @pytest.mark.parametrize("grid", [["--s-max", "inf"], ["--s-min=-inf"],
+                                      ["--s-step", "1e-6"],
+                                      ["--s-step", "1e-8"]])
+    def test_oversized_grid(self, grid):
+        # 19 M and 1.9 G points would exhaust memory, and inf points
+        # cannot be counted; all are refused before any array is built.
+        # A child process under a 3 GiB address-space limit keeps a
+        # regression from taking this machine's memory with it.
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from edgedist import cli, painleve\n"
+            "def solve(config=None):\n"
+            "    raise AssertionError('solved')\n"
+            "painleve.solve = solve\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        run = subprocess.run([sys.executable, "-c", child, "table",
+                              "--beta", "2", *grid], capture_output=True,
+                             text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 2
+        assert run.stderr.startswith("error: the grid from ")
+        assert "more than 1000000 points" in run.stderr
+        assert "Traceback" not in run.stderr
+
+    def test_largest_grid_is_served(self, monkeypatch):
+        # 999,999.000001 steps round to 1,000,000 points: the limit
+        monkeypatch.setattr(painleve, "solve", _no_solve)
+        with pytest.raises(AssertionError, match="solved before"):
+            cli.main(["table", "--beta", "2", "--s-min", "0", "--s-max",
+                      "1", "--s-step", "1.000001e-6"])
 
 
 @pytest.mark.parametrize("argv, x_left, jet_order", [

@@ -14,7 +14,6 @@ D4_AT_M2 = 7.927027952882469e-01
 
 def test_rule_properties():
     rule = oracle.build_rule(-2.0, n=64)
-    assert rule.count == 64
     assert rule.nodes.shape == (64,) and rule.weights.shape == (64,)
     assert np.all(rule.nodes > -2.0)
     assert np.all(np.diff(rule.nodes) > 0.0)

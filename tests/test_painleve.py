@@ -104,8 +104,9 @@ class TestSolveInvariants:
         w_ref, _ = integrate.quad(lambda u: special.airy(u)[0], xr, 46.0,
                                   epsabs=1e-15)
         assert abs(b.J[0] - w_ref) < 1e-8
-        assert abs(b.I[0] - specfun.ai2_weighted_tail(xr)) < 1e-10
-        assert abs(b.Iprime[0] + specfun.ai2_tail(xr)) < 1e-10
+        _, _, T, V, _ = specfun.airy_tail(xr)
+        assert abs(b.I[0] - T) < 1e-10
+        assert abs(b.Iprime[0] + V) < 1e-10
 
     def test_q0_positive(self, sol_default):
         assert np.all(_uniform(sol_default)[1].q[0] > 0.0)
@@ -317,11 +318,10 @@ class TestSolutionCache:
         lambda a: a.update(c=a["c"][:, 1:]),
         lambda a: a.update(F=a["F"][:, :, :4]),
         lambda a: a.update(key=a["key"] + [1, 0, 0]),
-        lambda a: a.update(side=np.array("up")),
         lambda a: a.update(h=a["h"].astype(np.float32)),
         lambda a: a.pop("residual"),
         lambda a: a.update(extra=np.zeros(3)),
-    ], ids=["shape", "sweep-width", "format", "side", "dtype",
+    ], ids=["shape", "sweep-width", "format", "dtype",
             "missing", "extra"])
     def test_malformed_entry_is_refused(self, entry, change):
         cfg, data = entry
@@ -356,14 +356,30 @@ class TestSolutionCache:
         assert sol.jet_at(0.0).q[0] > 0.0
 
     def test_store_removes_other_code_keys(self, entry, root):
+        # a file older than the sources was written by an earlier code
         cfg, data = entry
         folder = root / "edgedist"
         folder.mkdir()
-        (folder / ("0" * 64 + "-x-10.0-j1.npz")).write_bytes(data)
+        stale = folder / ("0" * 64 + "-x-10.0-j1.npz")
+        stale.write_bytes(data)
+        os.utime(stale, (0, 0))
         (folder / "notes.txt").write_text("")
         painleve.solve(cfg)
         assert sorted(os.listdir(folder)) == sorted(
             [os.path.basename(painleve._cache_path(cfg)), "notes.txt"])
+
+    def test_store_keeps_newer_code_keys(self, entry, root):
+        # a file newer than the sources may be another checkout's
+        cfg, data = entry
+        folder = root / "edgedist"
+        folder.mkdir()
+        other = folder / ("0" * 64 + "-x-10.0-j1.npz")
+        other.write_bytes(data)
+        newest = max(map(os.path.getmtime, painleve._CACHE_SOURCES))
+        os.utime(other, (newest + 1, newest + 1))
+        assert painleve.solve(cfg).diagnostics["cache"] == {"hit": False}
+        assert sorted(os.listdir(folder)) == sorted(
+            [os.path.basename(painleve._cache_path(cfg)), other.name])
 
 
 class TestLambdaSolve:
@@ -402,7 +418,7 @@ class TestDenseSweep:
     """The stacked DOP853 evaluator must reproduce scipy's OdeSolution
     bit for bit; a change in scipy's dense-output internals fails here."""
 
-    @pytest.mark.parametrize("t_span", [(2.0, -4.0), (-4.0, 2.0)])
+    @pytest.mark.parametrize("t_span", [(2.0, -4.0)])
     def test_equals_ode_solution(self, t_span):
         res = _small_sweep(t_span)
         assert res.t.size > 10
@@ -425,16 +441,22 @@ class TestDenseSweep:
         # OdeSolution's choice of step at a breakpoint gives its values
         from scipy.integrate._ivp.rk import Dop853DenseOutput
         rng = np.random.default_rng(4)
-        for sign in (1.0, -1.0):
-            ts = sign * np.cumsum(rng.uniform(0.1, 1.0, 9))
-            sol = integrate.OdeSolution(ts, [
-                Dop853DenseOutput(a, b, rng.standard_normal(2),
-                                  rng.standard_normal((7, 2)))
-                for a, b in zip(ts[:-1], ts[1:])])
-            ev = painleve._Dop853Dense.from_solution(sol)
-            assert np.array_equal(ev(ts), sol(ts))
+        ts = -np.cumsum(rng.uniform(0.1, 1.0, 9))
+        sol = integrate.OdeSolution(ts, [
+            Dop853DenseOutput(a, b, rng.standard_normal(2),
+                              rng.standard_normal((7, 2)))
+            for a, b in zip(ts[:-1], ts[1:])])
+        ev = painleve._Dop853Dense.from_solution(sol)
+        assert np.array_equal(ev(ts), sol(ts))
 
     def test_rejects_other_interpolants(self):
         res = _small_sweep((2.0, -4.0), method="RK45")
         with pytest.raises(painleve.SolverError, match="DOP853"):
+            painleve._Dop853Dense.from_solution(res.sol)
+
+    def test_rejects_left_to_right_solve(self):
+        # the jet sweep runs from x_right to x_left, and the tie rule
+        # above holds only for that direction
+        res = _small_sweep((-4.0, 2.0))
+        with pytest.raises(painleve.SolverError, match="right-to-left"):
             painleve._Dop853Dense.from_solution(res.sol)
