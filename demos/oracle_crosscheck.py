@@ -26,7 +26,7 @@ def main():
     print("\nsame comparison at lambda = 0.5 (thinned kernel):")
     half = painleve.solve_at_lambda(0.5)
     for s in (-4.0, -2.0, 0.0):
-        a = math.exp(-half.at(s)[2])
+        a = math.exp(-half.jet_at(s).I[0])
         b = oracle.nystrom_d2(s, lam=0.5)
         print("%5.1f   %.15f   %.15f   %.2e" % (s, a, b, abs(a - b)))
 

@@ -131,6 +131,8 @@ def _tables(beta, ms, grid, s_min):
 
 def _grid_from_args(args):
     if args.s is not None:
+        if not math.isfinite(args.s):
+            raise ValueError(f"--s must be finite, got {args.s}")
         return np.array([args.s])
     lo, hi, step = args.s_min, args.s_max, args.s_step
     if not (hi > lo and step > 0):
@@ -257,7 +259,7 @@ def _read_samples_csv(path):
                 break
             try:
                 rep, k, val = line.split(",")
-                rep, k = int(rep), int(k)
+                rep, k, x = int(rep), int(k), float(val)
             except ValueError:
                 raise ValueError(f"malformed sample on line {lineno}: "
                                  f"{line!r}, expected rep,k,value") from None
@@ -265,8 +267,8 @@ def _read_samples_csv(path):
             if k in row:
                 raise ValueError(f"duplicate sample: rep {rep} has two "
                                  f"k = {k} lines")
-            row[k] = float(val)
-            if not math.isfinite(row[k]):
+            row[k] = x
+            if not math.isfinite(x):
                 raise ValueError(f"non-finite sample: rep {rep} k = {k} "
                                  f"is {val.strip()}")
     if not rows:
@@ -300,13 +302,10 @@ def _verify_oracle():
     pts = (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0)
     cfg = _solver_config(pts[0], 1)
     sol = painleve.solve(cfg)
-    r1 = max(abs(math.exp(-sol.jet_at(s).I[0])
-                 - oracle.nystrom_d2(s, 1.0, 200)) for s in pts)
     half = painleve.solve_at_lambda(0.5, cfg)
-    r2 = 0.0
-    for s in pts:
-        i0 = half.at(s)[2]
-        r2 = max(r2, abs(math.exp(-i0) - oracle.nystrom_d2(s, 0.5, 200)))
+    r1, r2 = (max(abs(math.exp(-d.jet_at(s).I[0])
+                      - oracle.nystrom_d2(s, lam, 200)) for s in pts)
+              for d, lam in ((sol, 1.0), (half, 0.5)))
     r3 = 0.0
     for s in pts:
         b = sol.jet_at(s)

@@ -19,6 +19,8 @@ of the order-0 and order-1 components.
 Each configuration is solved once per machine: ``solve`` keeps the
 solution's arrays in an on-disk cache (see ``solve``) and rebuilds the
 same interpolants from them, so a cached solution gives the same bits.
+``solve_at_lambda`` samples the same family at lambda < 1, order 0
+only; both return a ``PainleveSolution``.
 """
 
 import bisect
@@ -54,7 +56,7 @@ _SWEEP_RTOL = 1e-12
 
 # Layout version of the solution cache's files; part of the code key,
 # with the bytes of these sources
-_CACHE_FORMAT = 2
+_CACHE_FORMAT = 3
 _CACHE_SOURCES = (__file__, specfun.__file__)
 
 
@@ -66,9 +68,9 @@ class SolverConfig:
     jet_order: int = 4
 
     def __post_init__(self):
-        if not self.x_left < _PATCH_POINT:
-            raise ValueError(f"x_left must be < {_PATCH_POINT}, where the "
-                             f"asymptotic expansion takes over")
+        if not -math.inf < self.x_left < _PATCH_POINT:
+            raise ValueError(f"x_left must be finite and < {_PATCH_POINT}, "
+                             f"where the asymptotic expansion takes over")
         if self.jet_order < 0:
             raise ValueError("jet_order must be >= 0")
 
@@ -155,12 +157,11 @@ class _Dop853Dense(NamedTuple):
     so the values are bit-identical; but all points go through one
     ``searchsorted`` and one Horner-type loop instead of one Python call
     per step.  Fields are ordered by ascending breakpoint: ``ts`` holds
-    the n + 1 breakpoints, row i of ``t_old``, ``h``, ``y_old`` and of
-    each ``F[k]`` the data of the step between ``ts[i]`` and ``ts[i + 1]``.
+    the n + 1 breakpoints, row i of ``y_old`` and of each ``F[k]`` the
+    data of the step from ``ts[i + 1]`` to ``ts[i]``, whose start and
+    length are the floats scipy stores as ``t_old`` and ``h``.
     """
     ts: np.ndarray
-    t_old: np.ndarray
-    h: np.ndarray
     y_old: np.ndarray
     F: np.ndarray
 
@@ -177,8 +178,6 @@ class _Dop853Dense(NamedTuple):
             raise SolverError("jet sweep: expected a right-to-left solve")
         ts, steps = sol.ts[::-1], sol.interpolants[::-1]
         return cls(ts=np.array(ts),
-                   t_old=np.array([d.t_old for d in steps]),
-                   h=np.array([d.h for d in steps]),
                    y_old=np.array([d.y_old for d in steps]),
                    F=np.stack([d.F for d in steps], axis=1))
 
@@ -190,8 +189,9 @@ class _Dop853Dense(NamedTuple):
         # ends there: on a descending solve's reversed breakpoints, the
         # step to the right
         i = np.clip(np.searchsorted(self.ts, t, side="right") - 1,
-                    0, self.h.size - 1)
-        x = ((t - self.t_old[i]) / self.h[i])[:, None]
+                    0, self.ts.size - 2)
+        t_old = self.ts[i + 1]
+        x = ((t - t_old) / (self.ts[i] - t_old))[:, None]
         y_old = self.y_old[i, :n]
         y = np.zeros_like(y_old)
         for k, f in enumerate(self.F[::-1]):
@@ -202,9 +202,9 @@ class _Dop853Dense(NamedTuple):
 
 
 def _evaluate(dense, x, order):
-    """(5, order + 1, x.size) jets from the order-0 collocation solution
-    and, for order >= 1, the dense output of the jet sweep, whose states
-    are q, q', I, I', J of order 1, then of order 2, and so on."""
+    """(5, order + 1, x.size) jets from the order-0 interpolant and, for
+    order >= 1, the dense output of the jet sweep, whose states are q,
+    q', I, I', J of order 1, then of order 2, and so on."""
     d0 = dense[0](x)[:, None, :]
     if order == 0:
         return d0
@@ -213,24 +213,27 @@ def _evaluate(dense, x, order):
 
 
 class PainleveSolution:
-    """Jets of the Painleve II system, read from the solve's interpolants.
+    """Jets in lambda of q ~ sqrt(lambda) Ai, from the solve's interpolants.
 
-    ``jets`` and ``jet_at`` evaluate the order-0 collocation solution
-    and the dense output of the jet sweep on [x_left, x_right], and the
-    closed-form boundary jets beyond x_right.
+    ``jets`` and ``jet_at`` evaluate the interpolants on [x_left,
+    x_right], and the closed-form boundary jets beyond x_right.  At
+    lambda = 1 these are the order-0 collocation solution and the jet
+    sweep; below, the deformed sweep, at jet order 0.
 
     Attributes
     ----------
     config : SolverConfig
     diagnostics : dict
         Collocation residual and node count of order 0 ("order0") and
-        the step count of the jet sweep ("sweep", jet_order >= 1).
+        the step count of the jet sweep ("sweep", jet_order >= 1); empty
+        below lambda = 1.
     """
 
-    def __init__(self, config, dense, diagnostics):
+    def __init__(self, config, dense, diagnostics, lam=1.0):
         self.config = config
         self.diagnostics = diagnostics
         self._dense = tuple(dense)
+        self._tail_columns = _tail_columns(config.jet_order, lam)
 
     @property
     def jet_order(self):
@@ -261,16 +264,23 @@ class PainleveSolution:
             inner = np.clip(s[~tail], cfg.x_left, cfg.x_right)
             out[..., ~tail] = _evaluate(self._dense, inner, M)
         if np.any(tail):
-            # the jets of sqrt(lambda) and lambda about lambda = 1
-            b = np.array(sqrt_lambda_coeffs(M))[:, None]
-            lam = (np.arange(M + 1) < 2).astype(float)[:, None]
-            out[..., tail] = _tail_state(s[tail], b, lam)
+            r, lam = (c[:M + 1] for c in self._tail_columns)
+            out[..., tail] = _tail_state(s[tail], r, lam)
         return JetBundle(*out)
 
     def jet_at(self, s):
         """Jets of q, q', I, I', J at one point; each field has shape
         (jet_order + 1,).  See ``jets``."""
         return JetBundle(*(a[:, 0] for a in self.jets([float(s)])))
+
+
+def _tail_columns(order, lam):
+    # the tail's factors r and lam as columns: the jets of sqrt(lambda)
+    # and lambda about lambda = 1 through ``order``, else the constants
+    if lam == 1.0:
+        return (np.array(sqrt_lambda_coeffs(order))[:, None],
+                (np.arange(order + 1) < 2).astype(float)[:, None])
+    return np.array([[math.sqrt(lam)]]), np.array([[lam]])
 
 
 def _tail_state(x, r, lam):
@@ -280,35 +290,20 @@ def _tail_state(x, r, lam):
     return r * ai, r * aip, lam * T, -lam * V, r * W
 
 
-class LambdaSolution(NamedTuple):
-    """Order-0 quantities of the lambda-deformed problem on [x_left, x_right]."""
-    lam: float
-    config: "SolverConfig"
-    dense: object
-
-    def at(self, s):
-        """(q, q', I, I', J) at a point; closed-form tails beyond x_right."""
-        cfg = self.config
-        if s < cfg.x_left - 1e-12:
-            raise ValueError(f"range error: s = {s} left of solved "
-                             f"domain [{cfg.x_left}, inf)")
-        if s > cfg.x_right:
-            return _tail_state(s, math.sqrt(self.lam), self.lam)
-        return tuple(self.dense(np.array([s]))[:, 0])
-
-
 def solve_at_lambda(lam, config=None):
-    """Order-0 solve of the deformed problem q ~ sqrt(lam) Ai, 0 <= lam < 1.
+    """Solve of the deformed problem q ~ sqrt(lam) Ai, 0 <= lam < 1.
 
     Below lam = 1 the solution stays bounded as x -> -inf and the
     linearized modes oscillate instead of growing, so a single backward
-    sweep from the right boundary is stable.  lam = 1 belongs to solve().
+    DOP853 sweep from the right boundary is stable.  lam = 1 belongs to
+    solve().  Returns a ``PainleveSolution`` of jet order 0 on
+    ``config``'s interval, whose one interpolant is that sweep.
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError("requires 0 <= lam < 1; use solve() at lam = 1")
-    cfg = config or SolverConfig()
+    cfg = dataclasses.replace(config or SolverConfig(), jet_order=0)
     xr, xl = cfg.x_right, cfg.x_left
-    y0 = list(_tail_state(xr, math.sqrt(lam), lam))
+    y0 = np.ravel(_tail_state(xr, *_tail_columns(0, lam)))
 
     def rhs(x, y):
         q, qp, _, ip, _ = y
@@ -318,7 +313,8 @@ def solve_at_lambda(lam, config=None):
                               rtol=_SWEEP_RTOL, atol=1e-20, dense_output=True)
     if not res.success:
         raise SolverError(f"deformed sweep failed: {res.message}")
-    return LambdaSolution(lam=lam, config=cfg, dense=res.sol)
+    return PainleveSolution(cfg, [_Dop853Dense.from_solution(res.sol)], {},
+                            lam)
 
 
 def solve(config=None):
@@ -385,8 +381,8 @@ def _load(cfg):
         n = a["x"].size
         shapes = {"key": (3,), "residual": (), "x": (n,), "c": (4, n - 1, 5)}
         if M:
-            k = a["h"].size
-            shapes.update(ts=(k + 1,), t_old=(k,), h=(k,), y_old=(k, 5 * M),
+            k = a["ts"].size - 1
+            shapes.update(ts=(k + 1,), y_old=(k, 5 * M),
                           F=a["F"].shape[:1] + (k, 5 * M))
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         return None
@@ -443,15 +439,16 @@ def _solve(cfg):
     """The solve behind ``solve``, without the cache."""
     xr, xl, M = cfg.x_right, cfg.x_left, cfg.jet_order
 
-    ai_r, aip_r, T, V, W = specfun.airy_tail(xr)
-    b = sqrt_lambda_coeffs(max(M, 1))
+    # right-end data of orders 0..M, shape (5, M + 1)
+    tail = np.array(_tail_state(xr, *_tail_columns(M, 1.0)))[..., 0]
+    q_r, qp_r, i_r, ip_r, j_r = tail[:, 0]
     diagnostics = {}
 
     # ---- first approximation: Runge-Kutta from the right boundary,
     # asymptotic expansion left of the patch point
     ivp = integrate.solve_ivp(
         lambda x, y: [y[1], x * y[0] + 2.0 * y[0] ** 3],
-        (xr, _PATCH_POINT), [ai_r, aip_r], method="RK45",
+        (xr, _PATCH_POINT), [q_r, qp_r], method="RK45",
         rtol=1e-10, atol=1e-13, dense_output=True)
     if not ivp.success:
         raise SolverError(f"stiffness error in trial integration: {ivp.message}")
@@ -467,11 +464,11 @@ def _solve(cfg):
 
     sq = qg * qg
     c_sq = integrate.cumulative_trapezoid(sq, xs, initial=0.0)
-    ipg = -(V + (c_sq[-1] - c_sq))
+    ipg = ip_r - (c_sq[-1] - c_sq)
     c_ip = integrate.cumulative_trapezoid(ipg, xs, initial=0.0)
-    ig = T - (c_ip[-1] - c_ip)
+    ig = i_r - (c_ip[-1] - c_ip)
     c_q = integrate.cumulative_trapezoid(qg, xs, initial=0.0)
-    jg = W + (c_q[-1] - c_q)
+    jg = j_r + (c_q[-1] - c_q)
 
     # ---- order 0: nonlinear collocation refinement
     def fun0(x, y):
@@ -491,8 +488,8 @@ def _solve(cfg):
     q0_left = q0_asymptotic(-2.0 * xl)
 
     def bc0(ya, yb):
-        return np.array([ya[0] - q0_left, yb[0] - ai_r,
-                         yb[2] - T, yb[3] + V, yb[4] - W])
+        return np.array([ya[0] - q0_left, yb[0] - q_r,
+                         yb[2] - i_r, yb[3] - ip_r, yb[4] - j_r])
 
     def bc0_jac(ya, yb):
         dya = np.zeros((5, 5))
@@ -546,11 +543,8 @@ def _solve(cfg):
             dy[3], dy[4] = sq[1:], -q
             return dy.ravel()
 
-        bk = np.array(b[1:M + 1])
-        y0 = np.zeros((5, M))
-        y0[0], y0[1], y0[4] = bk * ai_r, bk * aip_r, bk * W
-        y0[2, 0], y0[3, 0] = T, -V
-        sweep = integrate.solve_ivp(rhs, (xr, xl), y0.ravel(),
+        # + 0.0 starts the zero I' of orders >= 2 at +0.0, not -0.0
+        sweep = integrate.solve_ivp(rhs, (xr, xl), tail[:, 1:].ravel() + 0.0,
                                     method="DOP853",
                                     rtol=_SWEEP_RTOL, atol=1e-20,
                                     dense_output=True)

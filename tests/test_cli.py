@@ -127,9 +127,11 @@ class TestArgumentErrors:
             with pytest.raises(AssertionError, match="sampled"):
                 cli.main(argv)
 
-    @pytest.mark.parametrize("bad", ["1,1", "1,1,-2.0,7", "x,1,-2.0"])
+    @pytest.mark.parametrize("bad", ["1,1", "1,1,-2.0,7", "x,1,-2.0",
+                                     "1,1,abc"])
     def test_malformed_samples(self, capsys, tmp_path, bad):
-        # too few fields, too many, a rep that is no integer
+        # too few fields, too many, a rep that is no integer, a value
+        # that is no number
         path = tmp_path / "bad.csv"
         path.write_text(f"# samples\n0,1,-1.0\n{bad}\n2,1,-2.0\n")
         assert cli.main(["percentiles", "--input", str(path), "--beta", "1",
@@ -172,6 +174,15 @@ class TestArgumentErrors:
         assert run.stderr.startswith("error: the grid from ")
         assert "more than 1000000 points" in run.stderr
         assert "Traceback" not in run.stderr
+
+    def test_non_finite_point(self, capsys, monkeypatch):
+        # refused before any solve, naming the flag; -inf would make the
+        # solve's left end -inf
+        monkeypatch.setattr(painleve, "solve", _no_solve)
+        for s in ("-inf", "inf", "nan"):
+            assert cli.main(["table", "--beta", "2", f"--s={s}"]) == 2
+            assert capsys.readouterr().err == (f"error: --s must be "
+                                               f"finite, got {s}\n")
 
     def test_largest_grid_is_served(self, monkeypatch):
         # 999,999.000001 steps round to 1,000,000 points: the limit

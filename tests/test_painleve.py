@@ -30,6 +30,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(jet_order=-1)
 
+    def test_non_finite_left_end_rejected(self):
+        for x_left in (-math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                SolverConfig(x_left=x_left)
+
     def test_shallow_left_end_rejected(self):
         # the asymptotic anchor needs -2*x_left inside the series range,
         # which the config enforces before any solve starts
@@ -318,7 +323,7 @@ class TestSolutionCache:
         lambda a: a.update(c=a["c"][:, 1:]),
         lambda a: a.update(F=a["F"][:, :, :4]),
         lambda a: a.update(key=a["key"] + [1, 0, 0]),
-        lambda a: a.update(h=a["h"].astype(np.float32)),
+        lambda a: a.update(ts=a["ts"].astype(np.float32)),
         lambda a: a.pop("residual"),
         lambda a: a.update(extra=np.zeros(3)),
     ], ids=["shape", "sweep-width", "format", "dtype",
@@ -332,6 +337,24 @@ class TestSolutionCache:
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
         assert painleve._load(cfg) is None
+
+    def test_format_2_file_is_solved_again(self, entry):
+        # the layout before format 3 also stored each step's t_old and h
+        cfg, data = entry
+        path = self._put(cfg, data)
+        with np.load(path) as z:
+            arrays = dict(z)
+        ts = arrays["ts"]
+        arrays.update(key=np.array([2.0, cfg.x_left, cfg.jet_order]),
+                      t_old=ts[1:], h=ts[:-1] - ts[1:])
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        assert painleve.solve(cfg).diagnostics["cache"] == {"hit": False}
+        with np.load(path) as z:
+            assert sorted(z.files) == ["F", "c", "key", "residual", "ts",
+                                       "x", "y_old"]
+            assert z["key"][0] == 3.0
+        assert painleve.solve(cfg).diagnostics["cache"] == {"hit": True}
 
     def test_object_array_is_solved_again(self, entry):
         cfg, data = entry
@@ -385,19 +408,49 @@ class TestSolutionCache:
 class TestLambdaSolve:
     def test_lambda_zero_is_zero(self):
         sol = painleve.solve_at_lambda(0.0)
-        assert sol.at(-3.0) == (0.0, 0.0, 0.0, 0.0, 0.0)
+        assert [f.tolist() for f in sol.jet_at(-3.0)] == [[0.0]] * 5
 
     def test_lambda_half_boundary(self):
-        sol = painleve.solve_at_lambda(0.5)
-        q, qp, _, _, _ = sol.at(6.0)
+        b = painleve.solve_at_lambda(0.5).jet_at(6.0)
         pair = specfun.airy(6.0)
-        assert q == pytest.approx(math.sqrt(0.5) * pair.ai, rel=1e-10)
-        assert qp == pytest.approx(math.sqrt(0.5) * pair.aip, rel=1e-10)
+        assert b.q[0] == pytest.approx(math.sqrt(0.5) * pair.ai, rel=1e-10)
+        assert b.qprime[0] == pytest.approx(math.sqrt(0.5) * pair.aip,
+                                            rel=1e-10)
 
     def test_left_of_domain(self):
-        # the same message as PainleveSolution.jets
         with pytest.raises(ValueError, match="range error"):
-            painleve.solve_at_lambda(0.5).at(-10.5)
+            painleve.solve_at_lambda(0.5).jet_at(-10.5)
+
+    def test_equals_ode_solution(self, monkeypatch):
+        # the deformed sweep's OdeSolution, bit for bit, at the points of
+        # verify --check oracle and at every breakpoint
+        runs, solve_ivp = [], integrate.solve_ivp
+
+        def record(*args, **kwargs):
+            runs.append(solve_ivp(*args, **kwargs))
+            return runs[-1]
+        monkeypatch.setattr(painleve.integrate, "solve_ivp", record)
+        sol = painleve.solve_at_lambda(0.5)
+        assert sol.jet_order == 0 and sol.config.x_left == -10.0
+        (res,) = runs
+        pts = np.concatenate([[-6.0, -4.0, -2.0, 0.0, 2.0, 4.0], res.t])
+        got = np.array(sol.jets(pts))[:, 0]
+        assert got.tobytes() == res.sol(pts).tobytes()
+
+    def test_tail_is_closed_form(self):
+        # beyond x_right: sqrt(lam) Ai, sqrt(lam) Ai', lam T, -lam V,
+        # sqrt(lam) W
+        lam, s = 0.5, np.array([6.0 + 1e-9, 7.5, 20.0])
+        ai, aip, T, V, W = specfun.airy_tail(s)
+        r = math.sqrt(lam)
+        want = [r * ai, r * aip, lam * T, -lam * V, r * W]
+        got = painleve.solve_at_lambda(lam).jets(s)
+        assert [f[0].tobytes() for f in got] == [w.tobytes() for w in want]
+
+    def test_no_jets_below_lambda_1(self):
+        sol = painleve.solve_at_lambda(0.5)
+        with pytest.raises(ValueError, match="capability error"):
+            sol.jets(np.array([0.0]), 1)
 
     def test_lambda_validation(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,97 @@
+"""SHA-256 digests of the library's arrays on a fixed set of requests.
+
+The package is imported from the ``src/`` of the checkout that holds
+this script.  Each array prints as one line:
+
+    sha256(raw bytes) label
+
+The raw bytes count the sign of a zero, so -0.0 and 0.0 differ.
+
+Usage:
+
+    python tools/lib_digests.py CACHE_DIR > digests.txt
+
+CACHE_DIR becomes ``XDG_CACHE_HOME``: an empty directory makes every
+``painleve.solve`` a miss, a second run on it a hit.  The cache state of
+each solve goes to stderr, so stdout is the same on a miss and on a hit
+when the cache keeps the bits.  To compare two checkouts, run a copy of
+this script from the tools/ folder of each and diff the outputs.
+
+The set: the jets of q, q', I, I', J and the diagnostics (without the
+cache state) of the solves (x_left, jet order) = (-13.5, 4), (-10, 0)
+and (-20.25, 1), on 4,004 points of [x_left, 12] plus 6, 6 + 1e-9 and
+12; F and f of all 12 (beta, m) pairs from the (-13.5, 4) solve on the
+1201-, 1801-, 191-, 451- and 2001-point grids; ``specfun.airy_tail``
+on [2, 60]; the jets of the lambda = 0.5 solution at the six points
+of ``verify --check oracle`` and at 7.5.
+"""
+
+import hashlib
+import json
+import os
+import pathlib
+import sys
+
+import numpy as np
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+SOLVES = ((-13.5, 4), (-10.0, 0), (-20.25, 1))
+GRIDS = {"table": (-8.0, 4.0, 1201), "moments": (-13.0, 9.5, 1801),
+         "interlace": (-13.0, 6.0, 191), "mc": (-13.0, 9.5, 451),
+         "cli-moments": (-13.0, 12.0, 2001)}
+ORACLE_POINTS = (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 7.5)
+
+
+def line(label, data):
+    if not isinstance(data, bytes):
+        data = np.ascontiguousarray(data, dtype=float).tobytes()
+    print(hashlib.sha256(data).hexdigest(), label, flush=True)
+
+
+def main(argv):
+    if len(argv) != 1:
+        sys.exit(__doc__)
+    os.environ["XDG_CACHE_HOME"] = os.path.abspath(argv[0])
+    sys.path.insert(0, str(SRC))
+    from edgedist import dist, painleve, specfun
+
+    sols = {}
+    for x_left, order in SOLVES:
+        sol = painleve.solve(painleve.SolverConfig(x_left=x_left,
+                                                   jet_order=order))
+        sols[x_left, order] = sol
+        tag = f"x{x_left!r} j{order}"
+        diag = dict(sol.diagnostics)
+        hit = diag.pop("cache")["hit"]
+        print(f"solve {tag}: cache {'hit' if hit else 'miss'}",
+              file=sys.stderr)
+        line(f"diagnostics {tag}",
+             json.dumps(diag, sort_keys=True).encode())
+        s = np.concatenate([np.linspace(x_left, 12.0, 4004),
+                            [6.0, 6.0 + 1e-9, 12.0]])
+        for name, a in zip(painleve.JetBundle._fields, sol.jets(s)):
+            line(f"jets {tag} {name}", a)
+
+    sol = sols[-13.5, 4]
+    for grid_name, (lo, hi, n) in GRIDS.items():
+        grid = np.linspace(lo, hi, n)
+        for beta in (1, 2, 4):
+            for m in range(1, 5):
+                t = dist.cdf(dist.DistRequest(beta=beta, m=m, s_grid=grid),
+                             sol)
+                line(f"F {grid_name} beta={beta} m={m}", t.F)
+                line(f"f {grid_name} beta={beta} m={m}", t.f)
+
+    for name, a in zip(("Ai", "Ai'", "T", "V", "W"),
+                       specfun.airy_tail(np.linspace(2.0, 60.0, 5801))):
+        line(f"airy_tail {name}", a)
+
+    half = painleve.solve_at_lambda(0.5)
+    for name, a in zip(painleve.JetBundle._fields,
+                       half.jets(np.array(ORACLE_POINTS))):
+        line(f"lambda=0.5 {name}", a)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
