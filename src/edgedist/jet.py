@@ -48,7 +48,7 @@ def jet_div(a, b):
     b = np.asarray(b, dtype=float)
     if len(a) != len(b):
         raise ValueError("operands must share the truncation order")
-    if np.any(np.abs(b[0]) <= _TINY):
+    if (np.abs(b[0]) <= _TINY).any():
         raise ZeroDivisionError("singular jet: cannot divide, c0 ~ 0")
     out = []
     for k in range(len(a)):
@@ -62,9 +62,9 @@ def jet_div(a, b):
 def jet_sqrt(a):
     """Square-root jet; the constant coefficient must be positive."""
     c = np.asarray(a, dtype=float)
-    if np.any(np.abs(c[0]) <= _TINY):
+    if (np.abs(c[0]) <= _TINY).any():
         raise ZeroDivisionError("singular jet: cannot take sqrt, c0 ~ 0")
-    if np.any(c[0] < 0):
+    if (c[0] < 0).any():
         raise ValueError("jet sqrt of negative constant coefficient")
     out = np.empty_like(c)
     out[0] = np.sqrt(c[0])

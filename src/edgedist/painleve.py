@@ -21,6 +21,10 @@ solution's arrays in an on-disk cache (see ``solve``) and rebuilds the
 same interpolants from them, so a cached solution gives the same bits.
 ``solve_at_lambda`` samples the same family at lambda < 1, order 0
 only; both return a ``PainleveSolution``.
+
+The interpolants evaluate in numpy, with the operations of the scipy
+objects the solve returns, so a cache hit imports only numpy and
+``scipy.special``; ``scipy.integrate`` is imported by the solves alone.
 """
 
 import bisect
@@ -35,7 +39,6 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 import scipy
-from scipy import integrate, interpolate
 
 from . import specfun
 
@@ -148,6 +151,28 @@ class JetBundle(NamedTuple):
     J: np.ndarray
 
 
+class _Spline(NamedTuple):
+    """The order-0 collocation spline: cubic pieces ``c`` of shape
+    (4, n - 1, 5), highest power first, on the n breakpoints ``x``.
+
+    Evaluates as the ``PPoly`` that ``solve_bvp`` returns, with the same
+    floating-point operations in the same order, so the values are
+    bit-identical.
+    """
+    c: np.ndarray
+    x: np.ndarray
+
+    def __call__(self, t):
+        """States at a 1-d array of points, shape (5, t.size)."""
+        # PPoly breaks ties at a breakpoint towards the piece that starts
+        # there, and extrapolates the end pieces
+        i = np.searchsorted(self.x[1:-1], t, "right")
+        d = t - self.x[i]
+        # (state, point) views, so each operation runs along the points
+        c0, c1, c2, c3 = self.c.take(i, axis=1).transpose(0, 2, 1)
+        return ((c3 + c2 * d) + c1 * (d * d)) + c0 * ((d * d) * d)
+
+
 class _Dop853Dense(NamedTuple):
     """Dense output of a right-to-left DOP853 ``solve_ivp`` run, stacked
     over its steps.
@@ -188,15 +213,17 @@ class _Dop853Dense(NamedTuple):
         # OdeSolution breaks ties at a breakpoint towards the step that
         # ends there: on a descending solve's reversed breakpoints, the
         # step to the right
-        i = np.clip(np.searchsorted(self.ts, t, side="right") - 1,
-                    0, self.ts.size - 2)
+        i = np.searchsorted(self.ts[1:-1], t, "right")
         t_old = self.ts[i + 1]
         x = ((t - t_old) / (self.ts[i] - t_old))[:, None]
+        xs = x, 1 - x
         y_old = self.y_old[i, :n]
         y = np.zeros_like(y_old)
+        # one gather per k: on a large grid, gathering all of F's rows at
+        # once leaves the data cache and costs more than it saves
         for k, f in enumerate(self.F[::-1]):
             y += f[i, :n]
-            y *= x if k % 2 == 0 else 1 - x
+            y *= xs[k % 2]
         y += y_old
         return y.T
 
@@ -258,14 +285,16 @@ class PainleveSolution:
         if s.size and s.min() < cfg.x_left - 1e-12:
             raise ValueError(f"range error: s = {s.min()} left of solved "
                              f"domain [{cfg.x_left}, inf)")
-        out = np.empty((5, M + 1, s.size))
         tail = s > cfg.x_right
-        if not np.all(tail):
-            inner = np.clip(s[~tail], cfg.x_left, cfg.x_right)
+        if not tail.any():
+            return JetBundle(*_evaluate(self._dense,
+                                        np.maximum(s, cfg.x_left), M))
+        out = np.empty((5, M + 1, s.size))
+        if not tail.all():
+            inner = np.maximum(s[~tail], cfg.x_left)
             out[..., ~tail] = _evaluate(self._dense, inner, M)
-        if np.any(tail):
-            r, lam = (c[:M + 1] for c in self._tail_columns)
-            out[..., tail] = _tail_state(s[tail], r, lam)
+        r, lam = (c[:M + 1] for c in self._tail_columns)
+        out[..., tail] = _tail_state(s[tail], r, lam)
         return JetBundle(*out)
 
     def jet_at(self, s):
@@ -301,6 +330,7 @@ def solve_at_lambda(lam, config=None):
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError("requires 0 <= lam < 1; use solve() at lam = 1")
+    from scipy import integrate
     cfg = dataclasses.replace(config or SolverConfig(), jet_order=0)
     xr, xl = cfg.x_right, cfg.x_left
     y0 = np.ravel(_tail_state(xr, *_tail_columns(0, lam)))
@@ -386,13 +416,15 @@ def _load(cfg):
                           F=a["F"].shape[:1] + (k, 5 * M))
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         return None
+    breaks = [a[f] for f in ("x", "ts") if f in shapes]
     if (set(a) != set(shapes)
             or any(a[f].shape != shape or a[f].dtype != np.float64
                    for f, shape in shapes.items())
-            or not np.array_equal(a["key"], [_CACHE_FORMAT, cfg.x_left, M])):
+            or not np.array_equal(a["key"], [_CACHE_FORMAT, cfg.x_left, M])
+            or not all(b.size > 1 and (np.diff(b) > 0).all()
+                       for b in breaks)):
         return None
-    # solve_bvp's spline evaluates along axis 1
-    dense = [interpolate.PPoly.construct_fast(a["c"], a["x"], True, 1)]
+    dense = [_Spline(a["c"], a["x"])]
     diagnostics = {"order0": {"nodes": n,
                               "max_rms_residual": float(a["residual"])}}
     if M:
@@ -437,6 +469,7 @@ def _store(sol):
 
 def _solve(cfg):
     """The solve behind ``solve``, without the cache."""
+    from scipy import integrate
     xr, xl, M = cfg.x_right, cfg.x_left, cfg.jet_order
 
     # right-end data of orders 0..M, shape (5, M + 1)
@@ -507,7 +540,7 @@ def _solve(cfg):
     if res.status != 0:
         raise SolverError(f"order-0 collocation failed: {res.message}; "
                           f"max residual {res.rms_residuals.max():.3e}")
-    dense = [res.sol]
+    dense = [_Spline(res.sol.c, res.sol.x)]
     diagnostics["order0"] = {"nodes": res.x.size,
                              "max_rms_residual": float(res.rms_residuals.max())}
 

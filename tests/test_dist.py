@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from edgedist import dist, jet, oracle, painleve, specfun
 from edgedist.dist import DistRequest, DistTable
@@ -317,6 +317,15 @@ class TestMoments:
         assert abs(got.sd - 1.0) <= 1e-8
         assert abs(got.skewness) <= 1e-8
         assert abs(got.kurtosis) <= 1e-6
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 1800, 1801, 2001])
+    def test_simpson_equals_scipy(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal(n)
+        for x in (np.linspace(-13.0, 9.5, n),
+                  np.sort(rng.uniform(-13.0, 9.5, n))):
+            got, want = dist._simpson(y, x), integrate.simpson(y, x=x)
+            assert got.tobytes() == want.tobytes()
 
     def test_truncation_rejected(self, sol_default):
         grid = np.linspace(-3.0, 1.0, 101)

@@ -6,7 +6,7 @@ import shutil
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, interpolate, special
 
 from edgedist import painleve, specfun
 from edgedist.painleve import SolverConfig
@@ -326,8 +326,14 @@ class TestSolutionCache:
         lambda a: a.update(ts=a["ts"].astype(np.float32)),
         lambda a: a.pop("residual"),
         lambda a: a.update(extra=np.zeros(3)),
+        lambda a: a.update(x=a["x"][:1], c=a["c"][:, :0]),
+        lambda a: a.update(ts=a["ts"][:1], y_old=a["y_old"][:0],
+                           F=a["F"][:, :0]),
+        lambda a: a.update(x=a["x"][::-1].copy()),
+        lambda a: a.update(ts=np.sort(np.r_[a["ts"][1:], a["ts"][1]])),
     ], ids=["shape", "sweep-width", "format", "dtype",
-            "missing", "extra"])
+            "missing", "extra", "one-node", "one-step", "descending",
+            "repeated-breakpoint"])
     def test_malformed_entry_is_refused(self, entry, change):
         cfg, data = entry
         path = self._put(cfg, data)
@@ -429,7 +435,7 @@ class TestLambdaSolve:
         def record(*args, **kwargs):
             runs.append(solve_ivp(*args, **kwargs))
             return runs[-1]
-        monkeypatch.setattr(painleve.integrate, "solve_ivp", record)
+        monkeypatch.setattr(integrate, "solve_ivp", record)
         sol = painleve.solve_at_lambda(0.5)
         assert sol.jet_order == 0 and sol.config.x_left == -10.0
         (res,) = runs
@@ -465,6 +471,24 @@ def _small_sweep(t_span, method="DOP853"):
         lambda x, y: [y[1], x * y[0], -y[0] ** 2], t_span,
         [special.airy(t_span[0])[0], special.airy(t_span[0])[1], 0.0],
         method=method, rtol=1e-10, atol=1e-14, dense_output=True)
+
+
+class TestSpline:
+    """The numpy order-0 spline must reproduce scipy's PPoly bit for
+    bit; a change in PPoly's evaluation fails here."""
+
+    @pytest.mark.parametrize("fixture", ["sol_wide", "sol_order0"])
+    def test_equals_ppoly(self, fixture, request):
+        sol = request.getfixturevalue(fixture)
+        spline = sol._dense[0]
+        # solve_bvp's PPoly evaluates along axis 1
+        ppoly = interpolate.PPoly.construct_fast(spline.c, spline.x, True, 1)
+        xl, xr = sol.config.x_left, sol.config.x_right
+        # points in between, every breakpoint, and the ends, one of them
+        # just outside
+        pts = np.concatenate([np.linspace(xl, xr, 20001), spline.x,
+                              [xl - 1e-13, xr]])
+        assert spline(pts).tobytes() == ppoly(pts).tobytes()
 
 
 class TestDenseSweep:

@@ -296,3 +296,28 @@ def test_cli_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=120, check=True, cwd=src)
     assert out.stdout.strip() == "False"
+
+
+def test_warm_cli_leaves_out_integrate_and_interpolate(tmp_path):
+    # a cache hit evaluates the solution in numpy: only a solve imports
+    # scipy.integrate, and nothing the command line runs needs
+    # scipy.interpolate
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rmt.__file__)))
+    code = ("import sys, edgedist.cli\n"
+            "if sys.argv[1:]:\n"
+            "    assert edgedist.cli.main(sys.argv[1:]) == 0\n"
+            "print([m for m in ('scipy.integrate', 'scipy.interpolate')\n"
+            "       if m in sys.modules])")
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+
+    def loaded(*argv):
+        out = subprocess.run([sys.executable, "-c", code, *argv],
+                             capture_output=True, text=True, timeout=120,
+                             check=True, cwd=src, env=env)
+        return out.stdout.splitlines()[-1]
+
+    assert loaded() == "[]"
+    for argv in (["table", "--beta", "2", "--s", "0"],
+                 ["moments", "--beta", "2"]):
+        assert "scipy.integrate" in loaded(*argv)  # a miss solves
+        assert loaded(*argv) == "[]"

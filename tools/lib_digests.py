@@ -5,7 +5,11 @@ this script.  Each array prints as one line:
 
     sha256(raw bytes) label
 
-The raw bytes count the sign of a zero, so -0.0 and 0.0 differ.
+The raw bytes count the sign of a zero, so -0.0 and 0.0 differ.  The
+moments of a (beta, m) print as the repr of their floats, first on the
+1801-point grid, then on the 2001-point grid:
+
+    moments beta=B m=M (mean, sd, skewness, kurtosis) (mean, ...)
 
 Usage:
 
@@ -21,11 +25,13 @@ The set: the jets of q, q', I, I', J and the diagnostics (without the
 cache state) of the solves (x_left, jet order) = (-13.5, 4), (-10, 0)
 and (-20.25, 1), on 4,004 points of [x_left, 12] plus 6, 6 + 1e-9 and
 12; F and f of all 12 (beta, m) pairs from the (-13.5, 4) solve on the
-1201-, 1801-, 191-, 451- and 2001-point grids; ``specfun.airy_tail``
+1201-, 1801-, 191-, 451- and 2001-point grids, and ``dist.moments`` of
+the 1801- and 2001-point tables; ``specfun.airy_tail``
 on [2, 60]; the jets of the lambda = 0.5 solution at the six points
 of ``verify --check oracle`` and at 7.5.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -74,14 +80,22 @@ def main(argv):
             line(f"jets {tag} {name}", a)
 
     sol = sols[-13.5, 4]
+    tables = {}
     for grid_name, (lo, hi, n) in GRIDS.items():
         grid = np.linspace(lo, hi, n)
         for beta in (1, 2, 4):
             for m in range(1, 5):
                 t = dist.cdf(dist.DistRequest(beta=beta, m=m, s_grid=grid),
                              sol)
+                tables[grid_name, beta, m] = t
                 line(f"F {grid_name} beta={beta} m={m}", t.F)
                 line(f"f {grid_name} beta={beta} m={m}", t.f)
+    for beta in (1, 2, 4):
+        for m in range(1, 5):
+            stats = [tuple(map(float, dataclasses.astuple(
+                dist.moments(tables[grid_name, beta, m]))))
+                for grid_name in ("moments", "cli-moments")]
+            print(f"moments beta={beta} m={m}", *stats, flush=True)
 
     for name, a in zip(("Ai", "Ai'", "T", "V", "W"),
                        specfun.airy_tail(np.linspace(2.0, 60.0, 5801))):
