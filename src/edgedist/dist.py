@@ -191,35 +191,45 @@ def _div(a, b):
     return np.true_divide(a, b, out=np.zeros_like(b), where=b != 0)
 
 
-def _simpson(y, x):
-    """``scipy.integrate.simpson(y, x=x)`` for 1-d y and x, with scipy
-    1.17's operations in the same order, so the value is bit-identical.
+def _simpson(x):
+    """The rule y -> ``scipy.integrate.simpson(y, x=x)`` for 1-d y on
+    the 1-d grid x, with scipy 1.17's operations in the same order, so
+    the value is bit-identical.  The weights, which depend on x alone,
+    are computed once.
 
     Simpson's rule for non-uniform spacing on the pairs of intervals
     from the left; for an even point count, the last interval gets
     Cartwright's correction (the trapezoid for two points).
     """
-    n = y.size
+    n = x.size
     h = np.diff(x)
     if n == 2:
-        return 0.0 + 0.5 * h[-1] * (y[-1] + y[-2])
+        half = 0.5 * h[-1]
+        return lambda y: 0.0 + half * (y[-1] + y[-2])
     stop = n - 2 if n % 2 else n - 3
-    y0, y1, y2 = y[0:stop:2], y[1:stop + 1:2], y[2:stop + 2:2]
     h0, h1 = h[0:stop:2], h[1:stop + 1:2]
     hsum = h0 + h1
     h0divh1 = _div(h0, h1)
-    result = np.sum(hsum / 6.0 * (y0 * (2.0 - _div(1.0, h0divh1))
-                                  + y1 * (hsum * _div(hsum, h0 * h1))
-                                  + y2 * (2.0 - h0divh1)))
-    if n % 2:
-        return result
-    a, b = h[-2:-1], h[-1:]
-    alpha = _div(2 * b ** 2 + 3 * a * b, 6 * (b + a))
-    beta = _div(b ** 2 + 3.0 * a * b, 6 * a)
-    eta = _div(b ** 3, 6 * a * (a + b))
-    result += (alpha * y[-1] + beta * y[-2] - eta * y[-3])[0]
-    # scipy adds its 0.0 start last, which turns -0.0 into 0.0
-    return result + 0.0
+    sixth = hsum / 6.0
+    w0 = 2.0 - _div(1.0, h0divh1)
+    w1 = hsum * _div(hsum, h0 * h1)
+    w2 = 2.0 - h0divh1
+    if n % 2 == 0:
+        a, b = h[-2:-1], h[-1:]
+        alpha = _div(2 * b ** 2 + 3 * a * b, 6 * (b + a))
+        beta = _div(b ** 2 + 3.0 * a * b, 6 * a)
+        eta = _div(b ** 3, 6 * a * (a + b))
+
+    def rule(y):
+        result = np.sum(sixth * (y[0:stop:2] * w0 + y[1:stop + 1:2] * w1
+                                 + y[2:stop + 2:2] * w2))
+        if n % 2:
+            return result
+        result += (alpha * y[-1] + beta * y[-2] - eta * y[-3])[0]
+        # scipy adds its 0.0 start last, which turns -0.0 into 0.0
+        return result + 0.0
+
+    return rule
 
 
 def moments(table):
@@ -233,13 +243,14 @@ def moments(table):
         raise ValueError(
             f"truncation error: mass outside grid, F(s_min) = {F[0]:.3e}, "
             f"1 - F(s_max) = {1.0 - F[-1]:.3e}")
-    m0 = _simpson(f, s)
-    mean = _simpson(s * f, s) / m0
+    simpson = _simpson(s)
+    m0 = simpson(f)
+    mean = simpson(s * f) / m0
     c = s - mean
-    var = _simpson(c * c * f, s) / m0
+    var = simpson(c * c * f) / m0
     sd = math.sqrt(var)
-    g1 = _simpson(c ** 3 * f, s) / (m0 * sd ** 3)
-    g2 = _simpson(c ** 4 * f, s) / (m0 * sd ** 4) - 3.0
+    g1 = simpson(c ** 3 * f) / (m0 * sd ** 3)
+    g2 = simpson(c ** 4 * f) / (m0 * sd ** 4) - 3.0
     return SummaryStats(mean=mean, sd=sd, skewness=g1, kurtosis=g2)
 
 

@@ -2,14 +2,12 @@
 
 Matrices are drawn from a counter-based generator keyed by
 (seed, rep_index), so any rep can be produced independently of the
-others and parallel runs merge deterministically.  Edge rescaling
+others, bit for bit the same as in a full run.  Edge rescaling
 brings the top eigenvalues onto the scale of the limiting laws
 computed by the dist module.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -196,31 +194,20 @@ def wishart_spectrum(n, p, seed, rep_index, top_k=1):
     return SpectrumSample((raw - mu) / sigma, raw)
 
 
-def collect(config, max_workers=None):
-    """Sample every rep, in parallel, merged in rep order.
+def collect(config):
+    """Sample reps 0..reps-1 in turn, in the calling thread.
 
     Returns (samples, failures): samples is an array of shape
-    (successful reps, top_k) of scaled eigenvalues, failures the list
-    of SampleError instances for reps that broke.
+    (successful reps, top_k) of scaled eigenvalues in rep order,
+    failures the list of SampleError instances, in rep order, for reps
+    that broke.
     """
-    if max_workers is None:
-        env = os.environ.get("EDGEDIST_THREADS", "")
-        max_workers = int(env) if env else (os.cpu_count() or 1)
-    max_workers = max(1, max_workers)
-
-    def one(i):
+    rows, failures = [], []
+    for i in range(config.reps):
         try:
-            return sample_spectrum(config, i).scaled_top
+            rows.append(sample_spectrum(config, i).scaled_top)
         except SampleError as exc:
-            return exc
-
-    if max_workers == 1:
-        results = [one(i) for i in range(config.reps)]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(one, range(config.reps)))
-    failures = [r for r in results if isinstance(r, SampleError)]
-    rows = [r for r in results if not isinstance(r, SampleError)]
+            failures.append(exc)
     samples = np.array(rows) if rows else np.empty((0, config.top_k))
     return samples, failures
 

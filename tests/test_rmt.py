@@ -129,23 +129,60 @@ class TestSampling:
     def test_deterministic_and_index_keyed(self):
         cfg = EnsembleConfig(ensemble="goe", size=8, reps=10, seed=42,
                              top_k=2)
-        a, fail_a = rmt.collect(cfg, max_workers=1)
-        b, fail_b = rmt.collect(cfg, max_workers=1)
+        a, fail_a = rmt.collect(cfg)
+        b, fail_b = rmt.collect(cfg)
         assert not fail_a and not fail_b
         np.testing.assert_array_equal(a, b)
         one = rmt.sample_spectrum(cfg, 5).scaled_top
         np.testing.assert_array_equal(a[5], one)
         other, _ = rmt.collect(
             EnsembleConfig(ensemble="goe", size=8, reps=10, seed=43,
-                           top_k=2), max_workers=1)
+                           top_k=2))
         assert not np.array_equal(a, other)
 
-    def test_thread_count_invisible(self, monkeypatch):
-        cfg = EnsembleConfig(ensemble="gse", size=6, reps=12, seed=9)
-        serial, _ = rmt.collect(cfg, max_workers=1)
-        monkeypatch.setenv("EDGEDIST_THREADS", "3")
-        threaded, _ = rmt.collect(cfg)
-        np.testing.assert_array_equal(serial, threaded)
+    @pytest.mark.parametrize("cfg", [
+        EnsembleConfig(ensemble="goe", size=9, reps=6, seed=9, top_k=3),
+        EnsembleConfig(ensemble="gue", size=7, reps=6, seed=9, top_k=2),
+        EnsembleConfig(ensemble="gse", size=6, reps=6, seed=9, top_k=2),
+        EnsembleConfig(ensemble="wishart", rows=8, cols=5, reps=6, seed=9,
+                       top_k=2),
+    ], ids=lambda cfg: cfg.ensemble)
+    def test_rows_are_single_reps(self, cfg):
+        # row i is rep i drawn on its own, bit for bit
+        samples, failures = rmt.collect(cfg)
+        assert not failures
+        assert samples.shape == (cfg.reps, cfg.top_k)
+        for i in range(cfg.reps):
+            one = rmt.sample_spectrum(cfg, i).scaled_top
+            assert samples[i].tobytes() == one.tobytes()
+
+    def test_failed_reps_are_reported_in_order(self, monkeypatch):
+        cfg = EnsembleConfig(ensemble="goe", size=6, reps=8, seed=4,
+                             top_k=2)
+        eigvalsh = rmt._eigvalsh
+
+        def broken(m, rep_index):
+            if rep_index in (2, 5):
+                raise rmt.SampleError("injected", rep_index)
+            return eigvalsh(m, rep_index)
+
+        monkeypatch.setattr(rmt, "_eigvalsh", broken)
+        samples, failures = rmt.collect(cfg)
+        assert [exc.rep_index for exc in failures] == [2, 5]
+        assert samples.shape == (6, 2)
+        kept = [rmt.sample_spectrum(cfg, i).scaled_top
+                for i in (0, 1, 3, 4, 6, 7)]
+        np.testing.assert_array_equal(samples, np.array(kept))
+
+    def test_every_rep_failed(self, monkeypatch):
+        def broken(m, rep_index):
+            raise rmt.SampleError("injected", rep_index)
+
+        monkeypatch.setattr(rmt, "_eigvalsh", broken)
+        cfg = EnsembleConfig(ensemble="gue", size=5, reps=3, top_k=4)
+        samples, failures = rmt.collect(cfg)
+        assert samples.shape == (0, 4)
+        assert [exc.rep_index for exc in failures] == [0, 1, 2]
 
     def test_wishart_gram_routes_agree(self):
         out = rmt.wishart_spectrum(5, 12, seed=3, rep_index=0, top_k=3)
@@ -182,10 +219,9 @@ def test_symplectic_spectrum_interlaces_orthogonal():
     # two-sample comparison below is then pure sampling noise
     reps, n = 2000, 60
     gse, f1 = rmt.collect(EnsembleConfig(ensemble="gse", size=n, reps=reps,
-                                         seed=101, top_k=2), max_workers=1)
+                                         seed=101, top_k=2))
     goe, f2 = rmt.collect(EnsembleConfig(ensemble="goe", size=2 * n + 1,
-                                         reps=reps, seed=202, top_k=4),
-                          max_workers=1)
+                                         reps=reps, seed=202, top_k=4))
     assert not f1 and not f2
     for j_gse, j_goe in ((0, 1), (1, 3)):
         ks = stats.ks_2samp(gse[:, j_gse], goe[:, j_goe])
