@@ -2,12 +2,16 @@
 
 Matrices are drawn from a counter-based generator keyed by
 (seed, rep_index), so any rep can be produced independently of the
-others, bit for bit the same as in a full run.  Edge rescaling
-brings the top eigenvalues onto the scale of the limiting laws
-computed by the dist module.
+others, bit for bit the same as in a full run.  The symplectic
+ensemble is drawn through the orthogonal one, as every second
+eigenvalue of a GOE of odd dimension, so the three Gaussian ensembles
+share one path: draw a matrix, diagonalize it once, take the top
+eigenvalues by rank.  Edge rescaling brings them onto the scale of the
+limiting laws computed by the dist module.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -16,10 +20,6 @@ import numpy as np
 from .dist import SummaryStats
 
 _ENSEMBLES = ("goe", "gue", "gse", "wishart")
-
-# relative gap above which a doubled symplectic eigenvalue pair is
-# considered broken (eigensolver trouble rather than roundoff)
-_PAIR_TOL = 1e-8
 
 
 class SampleError(RuntimeError):
@@ -45,6 +45,13 @@ class EnsembleConfig:
         if kind not in _ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         object.__setattr__(self, "ensemble", kind)
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ValueError(
+                f"seed must be an integer, got {self.seed!r}") from None
+        if not 0 <= seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.top_k < 1:
@@ -107,26 +114,6 @@ def _gue_matrix(rng, n):
         + 1j * (k - k.T) / (2.0 * math.sqrt(2.0))
 
 
-def _gse_matrix(rng, n):
-    # quaternion self-dual, embedded as 2n x 2n complex Hermitian with
-    # every eigenvalue doubled; diagonal variance 1/2, each of the four
-    # quaternion components 1/4
-    a = _gue_matrix(rng, n)
-    p = rng.standard_normal((n, n))
-    r = rng.standard_normal((n, n))
-    b = ((p - p.T) + 1j * (r - r.T)) / (2.0 * math.sqrt(2.0))
-    return np.block([[a, b], [-b.conj(), a.conj()]])
-
-
-def _dedup_pairs(vals, rep_index):
-    pairs = vals.reshape(-1, 2)
-    gap = np.abs(pairs[:, 1] - pairs[:, 0])
-    scale = np.maximum(1.0, np.abs(pairs).max(axis=1))
-    if np.any(gap > _PAIR_TOL * scale):
-        raise SampleError("doubled eigenvalue pairing broke", rep_index)
-    return pairs.mean(axis=1)
-
-
 def _eigvalsh(m, rep_index):
     try:
         vals = np.linalg.eigvalsh(m)
@@ -148,30 +135,24 @@ def johnstone_center(n, p):
 def sample_spectrum(config, rep_index):
     """Draw one matrix and return its top_k edge-rescaled eigenvalues.
 
-    Deterministic in (config.seed, rep_index).  The symplectic spectrum
-    of quaternion dimension N sits at the edge of an orthogonal
-    ensemble of dimension 2N+1 (its eigenvalues are every second one of
-    that larger ensemble), so its rescaling uses 2N+1.
+    Deterministic in (config.seed, rep_index).  The symplectic ensemble
+    of quaternion dimension N is drawn as the orthogonal ensemble of
+    dimension 2N+1: its 2nd, 4th, ... largest eigenvalues have the
+    joint law of the symplectic spectrum (Forrester and Rains, 2001),
+    and its rescaling uses 2N+1.
     """
     if not 0 <= rep_index < config.reps:
         raise ValueError("rep_index out of range")
     if config.ensemble == "wishart":
         return wishart_spectrum(config.rows, config.cols, config.seed,
                                 rep_index, top_k=config.top_k)
-    rng = _rng(config.seed, rep_index)
-    n = config.size
-    if config.ensemble == "goe":
-        vals = _eigvalsh(_goe_matrix(rng, n), rep_index)
-        scale_dim = n
-    elif config.ensemble == "gue":
-        vals = _eigvalsh(_gue_matrix(rng, n), rep_index)
-        scale_dim = n
-    else:
-        vals = _dedup_pairs(_eigvalsh(_gse_matrix(rng, n), rep_index),
-                            rep_index)
-        scale_dim = 2 * n + 1
-    raw = vals[::-1][:config.top_k]
-    return SpectrumSample(edge_scale(raw, scale_dim), raw)
+    n, step = config.size, 1
+    if config.ensemble == "gse":
+        n, step = 2 * n + 1, 2
+    matrix = _gue_matrix if config.ensemble == "gue" else _goe_matrix
+    vals = _eigvalsh(matrix(_rng(config.seed, rep_index), n), rep_index)
+    raw = vals[-step::-step][:config.top_k]
+    return SpectrumSample(edge_scale(raw, n), raw)
 
 
 def wishart_spectrum(n, p, seed, rep_index, top_k=1):

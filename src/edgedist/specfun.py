@@ -70,13 +70,14 @@ def airy_kernel(x, y):
     d = xa - ya
     near = np.abs(d) < CONFLUENT_EPS
     with np.errstate(divide="ignore", invalid="ignore"):
-        k = (aix * aipy - aipx * aiy) / d
+        k = np.asarray((aix * aipy - aipx * aiy) / d)
     if np.any(near):
-        m = 0.5 * (xa + ya)
+        # Ai and Ai' at the midpoints of the near pairs only
+        m = np.asarray(0.5 * (xa + ya))[near]
         aim, aipm, _, _ = special.airy(m)
         # K is even in y-x about the midpoint, so the diagonal value there
         # is accurate to O((x-y)^2)
-        k = np.where(near, aipm * aipm - m * aim * aim, k)
+        k[near] = aipm * aipm - m * aim * aim
     return _scalar(k)
 
 

@@ -184,6 +184,16 @@ class TestArgumentErrors:
             assert capsys.readouterr().err == (f"error: --s must be "
                                                f"finite, got {s}\n")
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_out_of_range(self, capsys, seed):
+        # a usage error, not an OverflowError from the generator key
+        assert cli.main(["simulate", "--ensemble", "goe", "--n", "5",
+                         "--reps", "2", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: seed must be in [0, 2**64), "
+                                f"got {seed}\n")
+        assert captured.out == ""
+
     def test_largest_grid_is_served(self, monkeypatch):
         # 999,999.000001 steps round to 1,000,000 points: the limit
         monkeypatch.setattr(painleve, "solve", _no_solve)

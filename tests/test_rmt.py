@@ -31,6 +31,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="top_k"):
             EnsembleConfig(ensemble="goe", size=5, top_k=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
+    def test_seed_outside_generator_key(self, seed):
+        # the stream is keyed by the seed as one 64-bit word
+        with pytest.raises(ValueError, match="seed"):
+            EnsembleConfig(ensemble="goe", size=5, seed=seed)
+
     def test_wishart_shape(self):
         with pytest.raises(ValueError, match="Wishart"):
             EnsembleConfig(ensemble="wishart", rows=1, cols=5)
@@ -78,30 +84,10 @@ class TestMatrixLaws:
         assert np.var(off.real) == pytest.approx(0.25, rel=0.05)
         assert np.var(off.imag) == pytest.approx(0.25, rel=0.05)
 
-    def test_gse_block_structure(self):
-        m = rmt._gse_matrix(rmt._rng(5, 0), 100)
-        assert m.shape == (200, 200)
-        np.testing.assert_array_equal(m, m.conj().T)
-        b = m[:100, 100:]
-        assert np.all(np.diag(b) == 0.0)
-        off = b[np.triu_indices(100, k=1)]
-        assert np.var(off.real) == pytest.approx(0.25, rel=0.1)
-        assert np.var(off.imag) == pytest.approx(0.25, rel=0.1)
-
     def test_trace_identity(self):
         m = rmt._goe_matrix(rmt._rng(6, 0), 200)
         vals = np.linalg.eigvalsh(m)
         assert abs(vals.sum() - np.trace(m)) <= 1e-8 * 200
-
-    def test_gse_eigenvalues_doubled(self):
-        vals = np.linalg.eigvalsh(rmt._gse_matrix(rmt._rng(7, 0), 30))
-        pairs = vals.reshape(-1, 2)
-        assert np.max(np.abs(pairs[:, 1] - pairs[:, 0])) <= 1e-10
-
-    def test_dedup_rejects_broken_pair(self):
-        with pytest.raises(rmt.SampleError) as info:
-            rmt._dedup_pairs(np.array([1.0, 1.1, 2.0, 2.0]), 7)
-        assert info.value.rep_index == 7
 
     def test_goe_1x1_is_standard_normal(self):
         cfg = EnsembleConfig(ensemble="goe", size=1, reps=20000, seed=5)
@@ -109,6 +95,17 @@ class TestMatrixLaws:
                          for i in range(20000)])
         assert vals.std(ddof=1) == pytest.approx(1.0, abs=0.025)
         assert abs(vals.mean()) <= 0.025
+
+    def test_gse_1x1_is_normal_with_variance_half(self):
+        # quaternion dimension 1 is a real scalar of variance 1/2: the
+        # middle eigenvalue of a 3 x 3 GOE
+        cfg = EnsembleConfig(ensemble="gse", size=1, reps=20000, seed=5)
+        vals = np.array([rmt.sample_spectrum(cfg, i).raw_top[0]
+                         for i in range(20000)])
+        assert vals.std(ddof=1) == pytest.approx(math.sqrt(0.5), abs=0.02)
+        assert abs(vals.mean()) <= 0.02
+        ks = stats.kstest(vals, stats.norm(scale=math.sqrt(0.5)).cdf)
+        assert ks.pvalue >= 0.01
 
 
 class TestSampling:
@@ -155,6 +152,21 @@ class TestSampling:
         for i in range(cfg.reps):
             one = rmt.sample_spectrum(cfg, i).scaled_top
             assert samples[i].tobytes() == one.tobytes()
+
+    def test_gse_is_every_second_goe_eigenvalue(self):
+        # GSE rep i is ranks 2, 4, ... of the GOE of dimension 2N+1 drawn
+        # from the same (seed, rep) stream, bit for bit
+        n, top_k = 7, 4
+        cfg = EnsembleConfig(ensemble="gse", size=n, reps=5, seed=31,
+                             top_k=top_k)
+        for i in range(cfg.reps):
+            out = rmt.sample_spectrum(cfg, i)
+            vals = np.linalg.eigvalsh(rmt._goe_matrix(rmt._rng(31, i),
+                                                      2 * n + 1))
+            want = vals[::-1][1::2][:top_k]
+            assert out.raw_top.tobytes() == want.tobytes()
+            assert out.scaled_top.tobytes() == \
+                rmt.edge_scale(want, 2 * n + 1).tobytes()
 
     def test_failed_reps_are_reported_in_order(self, monkeypatch):
         cfg = EnsembleConfig(ensemble="goe", size=6, reps=8, seed=4,
@@ -212,22 +224,39 @@ class TestSampling:
         assert sigma == pytest.approx(15.931040524949, rel=1e-12)
 
 
+def _quaternion_gse_top(rng, n):
+    # the reference model: a quaternion self-dual matrix of dimension n,
+    # embedded as a 2n x 2n complex Hermitian matrix with every
+    # eigenvalue doubled; diagonal variance 1/2, each of the four
+    # quaternion components 1/4.  Returns the n distinct eigenvalues,
+    # largest first
+    a = rmt._gue_matrix(rng, n)
+    p = rng.standard_normal((n, n))
+    r = rng.standard_normal((n, n))
+    b = ((p - p.T) + 1j * (r - r.T)) / (2.0 * math.sqrt(2.0))
+    vals = np.linalg.eigvalsh(np.block([[a, b], [-b.conj(), a.conj()]]))
+    np.testing.assert_allclose(vals[0::2], vals[1::2], rtol=0.0,
+                               atol=1e-10)
+    return vals[::-2]
+
+
 def test_symplectic_spectrum_interlaces_orthogonal():
-    # the symplectic spectrum of quaternion dimension N coincides in law
-    # with every second eigenvalue of the orthogonal ensemble of
-    # dimension 2N+1, at finite N, under the shared 2N+1 rescaling; the
-    # two-sample comparison below is then pure sampling noise
+    # the sampler draws the symplectic spectrum of quaternion dimension N
+    # as every second eigenvalue of the orthogonal ensemble of dimension
+    # 2N+1, which coincides in law with the quaternion model at finite
+    # N, under the shared 2N+1 rescaling; the two-sample comparison
+    # below is then pure sampling noise
     reps, n = 2000, 60
-    gse, f1 = rmt.collect(EnsembleConfig(ensemble="gse", size=n, reps=reps,
-                                         seed=101, top_k=2))
-    goe, f2 = rmt.collect(EnsembleConfig(ensemble="goe", size=2 * n + 1,
-                                         reps=reps, seed=202, top_k=4))
-    assert not f1 and not f2
-    for j_gse, j_goe in ((0, 1), (1, 3)):
-        ks = stats.ks_2samp(gse[:, j_gse], goe[:, j_goe])
+    gse, failures = rmt.collect(EnsembleConfig(
+        ensemble="gse", size=n, reps=reps, seed=101, top_k=2))
+    assert not failures
+    ref = rmt.edge_scale([_quaternion_gse_top(rmt._rng(202, i), n)[:2]
+                          for i in range(reps)], 2 * n + 1)
+    for j in (0, 1):
+        ks = stats.ks_2samp(gse[:, j], ref[:, j])
         assert ks.statistic <= 0.05
     # mismatched ranks must be far apart, or the test proves nothing
-    assert stats.ks_2samp(gse[:, 0], goe[:, 0]).statistic > 0.3
+    assert stats.ks_2samp(gse[:, 0], ref[:, 1]).statistic > 0.3
 
 
 class TestSummaries:

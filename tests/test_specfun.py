@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from edgedist import specfun
 
@@ -115,6 +115,25 @@ def test_kernel_diagonal_positive():
     xs = np.linspace(-10.0, 6.0, 81)
     diag = specfun.airy_kernel(xs, xs)
     assert np.all(diag > 0.0)
+
+
+def test_kernel_grid_equals_midpoint_form_everywhere():
+    # the confluent branch evaluates Airy at the near pairs only; the
+    # reference evaluates it at every midpoint of the grid and picks the
+    # near entries, and the two agree bit for bit
+    x = np.concatenate([np.linspace(-8.0, 5.0, 60),
+                        [0.3, 0.3 + 5e-7, -2.0]])
+    xa, ya = x[:, None], x[None, :]
+    aix, aipx, _, _ = special.airy(xa)
+    aiy, aipy, _, _ = special.airy(ya)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = (aix * aipy - aipx * aiy) / (xa - ya)
+    m = 0.5 * (xa + ya)
+    aim, aipm, _, _ = special.airy(m)
+    want = np.where(np.abs(xa - ya) < specfun.CONFLUENT_EPS,
+                    aipm * aipm - m * aim * aim, far)
+    assert specfun.airy_kernel(xa, ya).tobytes() == want.tobytes()
+    assert specfun.airy_kernel(x[-1], x[-1]) == want[-1, -1]
 
 
 def test_ai_tail_decreasing():

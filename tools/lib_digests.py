@@ -28,7 +28,12 @@ and (-20.25, 1), on 4,004 points of [x_left, 12] plus 6, 6 + 1e-9 and
 1201-, 1801-, 191-, 451- and 2001-point grids, and ``dist.moments`` of
 the 1801- and 2001-point tables; ``specfun.airy_tail``
 on [2, 60]; the jets of the lambda = 0.5 solution at the six points
-of ``verify --check oracle`` and at 7.5.
+of ``verify --check oracle`` and at 7.5; ``oracle.nystrom_d2`` at
+lambda = 1 and 0.5, and ``oracle.nystrom_d4``, at those six points
+with n = 200; the samples of ``rmt.collect`` for the five Monte-Carlo
+job classes of the benchmark (GOE 400, GUE 200, GSE 100, Wishart
+100 x 400 and 100 x 100; 8 reps) at top_k 1 and 4 and seeds 1-3, each
+labelled with its shape and the indices of its failed reps.
 """
 
 import dataclasses
@@ -47,6 +52,9 @@ GRIDS = {"table": (-8.0, 4.0, 1201), "moments": (-13.0, 9.5, 1801),
          "interlace": (-13.0, 6.0, 191), "mc": (-13.0, 9.5, 451),
          "cli-moments": (-13.0, 12.0, 2001)}
 ORACLE_POINTS = (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 7.5)
+# (ensemble, size, rows, cols)
+MC_JOBS = (("goe", 400, 0, 0), ("gue", 200, 0, 0), ("gse", 100, 0, 0),
+           ("wishart", 0, 100, 400), ("wishart", 0, 100, 100))
 
 
 def line(label, data):
@@ -60,7 +68,7 @@ def main(argv):
         sys.exit(__doc__)
     os.environ["XDG_CACHE_HOME"] = os.path.abspath(argv[0])
     sys.path.insert(0, str(SRC))
-    from edgedist import dist, painleve, specfun
+    from edgedist import dist, oracle, painleve, rmt, specfun
 
     sols = {}
     for x_left, order in SOLVES:
@@ -105,6 +113,24 @@ def main(argv):
     for name, a in zip(painleve.JetBundle._fields,
                        half.jets(np.array(ORACLE_POINTS))):
         line(f"lambda=0.5 {name}", a)
+
+    pts = ORACLE_POINTS[:-1]
+    for lam in (1.0, 0.5):
+        line(f"nystrom_d2 lambda={lam!r}",
+             [oracle.nystrom_d2(s, lam, 200) for s in pts])
+    line("nystrom_d4", [oracle.nystrom_d4(s, 200) for s in pts])
+
+    for ens, size, rows, cols in MC_JOBS:
+        for top_k in (1, 4):
+            for seed in (1, 2, 3):
+                cfg = rmt.EnsembleConfig(ensemble=ens, size=size, rows=rows,
+                                         cols=cols, reps=8, seed=seed,
+                                         top_k=top_k)
+                samples, failures = rmt.collect(cfg)
+                failed = [f.rep_index for f in failures]
+                line(f"collect {ens} size={cfg.size} rows={rows} "
+                     f"top_k={top_k} seed={seed} shape={samples.shape} "
+                     f"failed={failed}", samples)
 
 
 if __name__ == "__main__":
