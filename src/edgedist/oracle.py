@@ -88,10 +88,14 @@ def nystrom_d2(s, lam=1.0, n=200):
 
 def _ferrari_spohn(s, n):
     # W^{1/2} K_1 W^{1/2} with the Ferrari-Spohn kernel
-    # K_1(x, y) = Ai((x + y)/2)/2; symmetric, and no range check on s
+    # K_1(x, y) = Ai((x + y)/2)/2; symmetric, and no range check on s.
+    # Ai at the midpoints of the upper triangle only, mirrored: x + y
+    # and y + x round alike, so the matrix has the bits of the full grid
     x, w = _truncate(build_rule(s, n))
     sq = np.sqrt(w)
-    kern = 0.5 * specfun.airy(0.5 * (x[:, None] + x[None, :])).ai
+    i, j = np.triu_indices(x.size)
+    kern = np.empty((x.size, x.size))
+    kern[i, j] = kern[j, i] = 0.5 * specfun.airy(0.5 * (x[i] + x[j])).ai
     return sq[:, None] * kern * sq[None, :]
 
 

@@ -23,8 +23,9 @@ same interpolants from them, so a cached solution gives the same bits.
 only; both return a ``PainleveSolution``.
 
 The interpolants evaluate in numpy, with the operations of the scipy
-objects the solve returns, so a cache hit imports only numpy and
-``scipy.special``; ``scipy.integrate`` is imported by the solves alone.
+objects the solve returns, and the values past x_right come from
+``specfun.airy_tail``'s series, so a cache hit imports only numpy;
+``scipy.integrate`` and ``scipy.special`` are imported by the solves.
 """
 
 import bisect
@@ -243,7 +244,7 @@ class PainleveSolution:
     """Jets in lambda of q ~ sqrt(lambda) Ai, from the solve's interpolants.
 
     ``jets`` and ``jet_at`` evaluate the interpolants on [x_left,
-    x_right], and the closed-form boundary jets beyond x_right.  At
+    x_right], and the boundary jets from the Airy tails beyond.  At
     lambda = 1 these are the order-0 collocation solution and the jet
     sweep; below, the deformed sweep, at jet order 0.
 
@@ -273,8 +274,9 @@ class PainleveSolution:
         jet_order; a capability error outside 0..jet_order), shape
         (order + 1, s.size), with the same bits at any order; order 0
         reads no sweep.  Valid for s >= x_left (a range error
-        otherwise); beyond x_right the closed-form boundary jets (which
-        the solve itself uses as right-end data) take over.
+        otherwise); beyond x_right the boundary jets take over, from
+        ``specfun.airy_tail``'s series (the solve's right-end data at
+        x_right itself are the closed forms of ``_tail_state``).
         """
         M = self.jet_order if order is None else order
         if not 0 <= M <= self.jet_order:
@@ -294,7 +296,7 @@ class PainleveSolution:
             inner = np.maximum(s[~tail], cfg.x_left)
             out[..., ~tail] = _evaluate(self._dense, inner, M)
         r, lam = (c[:M + 1] for c in self._tail_columns)
-        out[..., tail] = _tail_state(s[tail], r, lam)
+        out[..., tail] = _scale_tails(specfun.airy_tail(s[tail]), r, lam)
         return JetBundle(*out)
 
     def jet_at(self, s):
@@ -312,11 +314,23 @@ def _tail_columns(order, lam):
     return np.array([[math.sqrt(lam)]]), np.array([[lam]])
 
 
-def _tail_state(x, r, lam):
-    # (q, q', I, I', J) right of x_right, where q = r Ai with r^2 = lam:
-    # I and I' are lam times their closed forms, J is r W
-    ai, aip, T, V, W = specfun.airy_tail(x)
+def _scale_tails(tails, r, lam):
+    # (q, q', I, I', J) from the Airy tails (Ai, Ai', T, V, W), where
+    # q = r Ai with r^2 = lam: I and I' are lam T and -lam V, J is r W
+    ai, aip, T, V, W = tails
     return r * ai, r * aip, lam * T, -lam * V, r * W
+
+
+def _tail_state(x, r, lam):
+    # the solves' right-end data at the point x: ``_scale_tails`` of Ai
+    # and Ai' from ``specfun.airy``, T = -(1/3) Ai Ai' - (2/3) x Ai'^2 +
+    # (2/3) x^2 Ai^2 and V = Ai'^2 - x Ai^2 in closed form, and W from
+    # ``specfun.ai_tail``
+    ai, aip = specfun.airy(x)
+    T = -(ai * aip) / 3.0 - (2.0 / 3.0) * x * aip * aip \
+        + (2.0 / 3.0) * x * x * ai * ai
+    V = aip * aip - x * ai * ai
+    return _scale_tails((ai, aip, T, V, specfun.ai_tail(x)), r, lam)
 
 
 def solve_at_lambda(lam, config=None):

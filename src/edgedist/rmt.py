@@ -45,13 +45,7 @@ class EnsembleConfig:
         if kind not in _ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         object.__setattr__(self, "ensemble", kind)
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            raise ValueError(
-                f"seed must be an integer, got {self.seed!r}") from None
-        if not 0 <= seed < 2 ** 64:
-            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        _check_key("seed", self.seed)
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.top_k < 1:
@@ -85,6 +79,17 @@ class PercentileReport:
     percentiles: tuple
     ordinates: tuple
     proportions: tuple
+
+
+def _check_key(name, value):
+    # the stream is keyed by (seed, rep_index), each one 64-bit word
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(
+            f"{name} must be an integer, got {value!r}") from None
+    if not 0 <= value < 2 ** 64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {value}")
 
 
 def _rng(seed, rep_index):
@@ -166,6 +171,8 @@ def wishart_spectrum(n, p, seed, rep_index, top_k=1):
         raise ValueError("need n >= 2 and p >= 1")
     if not 1 <= top_k <= min(n, p):
         raise ValueError("top_k exceeds the nonzero spectrum")
+    _check_key("seed", seed)
+    _check_key("rep_index", rep_index)
     rng = _rng(seed, rep_index)
     x = rng.standard_normal((n, p))
     gram = x @ x.T if p > n else x.T @ x

@@ -2,16 +2,21 @@
 
 Double-precision Ai and Ai' on the working range [-60, 60], and the
 Airy kernel with a confluent branch near the diagonal.  The tail
-integrals serve the right end of the Painleve solve, x >= x_right = 6:
-``ai_tail`` integrates Ai from K_{1/3} for x >= 2, and ``airy_tail``
-gives Ai, Ai' and the tails of Ai, Ai^2 and (u-x)Ai^2 at once, the last
-two in closed form: the boundary data, and the values beyond x_right.
+integrals serve the Painleve solution right of x_right = 6:
+``airy_tail`` gives Ai, Ai' and the tails of Ai, Ai^2 and (u-x)Ai^2 on
+[6, 60] from committed Chebyshev series in numpy, and ``ai_tail``
+integrates Ai from K_{1/3}, for the solves' right-end data.
+
+A warm process needs numpy only: ``airy``, ``airy_kernel`` and
+``ai_tail`` import ``scipy.special`` on first use, and only the solves,
+the oracle and ``painleve.boundary_jet`` call them.
 """
 
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
+
+from . import _airy_tail_coeffs as _tail
 
 # working range of the evaluators
 XMIN = -60.0
@@ -51,6 +56,7 @@ def airy(x):
     AiryPair
         Fields ``ai`` and ``aip``; scalars for scalar input, arrays otherwise.
     """
+    from scipy import special
     ai, aip, _, _ = special.airy(_check_range(x))
     return AiryPair(_scalar(ai), _scalar(aip))
 
@@ -62,6 +68,7 @@ def airy_kernel(x, y):
     K(x, x) = Ai'(x)^2 - x Ai(x)^2 is used at the midpoint, where the
     difference quotient would cancel catastrophically.  Broadcasts.
     """
+    from scipy import special
     # Ai and Ai' once per node; the products below broadcast
     xa = _check_range(x)
     ya = _check_range(y)
@@ -103,6 +110,7 @@ def ai_tail(x):
     if np.any(xa < _LAGUERRE_FROM):
         raise ValueError(f"range error: the Ai tail integral needs "
                          f"x >= {_LAGUERRE_FROM}")
+    from scipy import special
     flat = xa.ravel()
     r = np.sqrt(flat)
     u = flat[:, None] + _LAGUERRE_V / r[:, None]
@@ -112,19 +120,37 @@ def ai_tail(x):
     return _scalar(out.reshape(xa.shape))
 
 
-def airy_tail(x):
-    """(Ai, Ai', T, V, W) at x >= 2 from one Airy call; scalars for
-    scalar input.
+# the series in 1/zeta, columns Ai, Ai', T, V, W, and each tail's
+# power of x in its scaling
+_TAIL_COEFFS = np.array(_tail.COEFFS).T
+_TAIL_POWERS = np.array([0.25, -0.25, 1.5, 1.0, 0.75])
 
-    T and V are the integrals of (u - x) Ai(u)^2 and Ai(u)^2 over
-    (x, infinity), in closed form: V = Ai'^2 - x Ai^2, and
-    T = -(1/3) Ai Ai' - (2/3) x Ai'^2 + (2/3) x^2 Ai^2, an
-    antiderivative of -V evaluated at x.  W is ``ai_tail``.
+
+def _scaled_tails(x):
+    # the five scaled tails of ``_airy_tail_coeffs`` at x in [6, 60],
+    # shape (5,) + x.shape, and zeta = (2/3) x^{3/2}
+    zeta = (2.0 / 3.0) * x * np.sqrt(x)
+    t = (1.0 / zeta - _tail.W_MID) / _tail.W_HALF
+    return np.polynomial.chebyshev.chebval(t, _TAIL_COEFFS), zeta
+
+
+def airy_tail(x):
+    """(Ai, Ai', T, V, W) on [6, 60]; scalars for scalar input.
+
+    T, V and W are the integrals of (u - x) Ai(u)^2, Ai(u)^2 and Ai(u)
+    over (x, infinity).  Each is a Chebyshev series in 1/zeta,
+    zeta = (2/3) x^{3/2}, times e^{-zeta} (Ai, Ai', W) or e^{-2 zeta}
+    (T, V) and a power of x (DLMF 9.7).  The series are within 2e-15
+    relative of mpmath; the exponential in double precision adds up to
+    about 8e-14 (Ai, Ai', W) and 1.6e-13 (T, V) relative near x = 60.
+    A range error below 6.
     """
-    W = ai_tail(x)  # checks the range
-    x = np.asarray(x, dtype=float)
-    ai, aip, _, _ = special.airy(x)
-    T = -(ai * aip) / 3.0 - (2.0 / 3.0) * x * aip * aip \
-        + (2.0 / 3.0) * x * x * ai * ai
-    V = aip * aip - x * ai * ai
-    return (*map(_scalar, (ai, aip, T, V)), W)
+    xa = _check_range(x)
+    if np.any(xa < _tail.X_LO):
+        raise ValueError(f"range error: the Airy tail series needs "
+                         f"x >= {_tail.X_LO}")
+    scaled, zeta = _scaled_tails(xa)
+    e = np.exp(-zeta)
+    decay = np.stack([e, e, e * e, e * e, e])
+    out = scaled * decay / xa ** _TAIL_POWERS.reshape((5,) + (1,) * xa.ndim)
+    return tuple(map(_scalar, out))

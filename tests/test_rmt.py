@@ -33,9 +33,13 @@ class TestConfig:
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
     def test_seed_outside_generator_key(self, seed):
-        # the stream is keyed by the seed as one 64-bit word
+        # the stream is keyed by the seed and the rep as 64-bit words
         with pytest.raises(ValueError, match="seed"):
             EnsembleConfig(ensemble="goe", size=5, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            rmt.wishart_spectrum(5, 3, seed, 0)
+        with pytest.raises(ValueError, match="rep_index"):
+            rmt.wishart_spectrum(5, 3, 0, seed)
 
     def test_wishart_shape(self):
         with pytest.raises(ValueError, match="Wishart"):
@@ -364,15 +368,16 @@ def test_cli_import_leaves_out_scipy_stats():
 
 
 def test_warm_cli_leaves_out_integrate_and_interpolate(tmp_path):
-    # a cache hit evaluates the solution in numpy: only a solve imports
-    # scipy.integrate, and nothing the command line runs needs
-    # scipy.interpolate
+    # a cache hit evaluates the solution, and the Airy tails past
+    # x_right (the moment grid reaches s = 12), in numpy: only a solve
+    # imports scipy.integrate and scipy.special, and nothing the command
+    # line runs needs scipy.interpolate; a bare import loads none
     src = os.path.dirname(os.path.dirname(os.path.abspath(rmt.__file__)))
     code = ("import sys, edgedist.cli\n"
             "if sys.argv[1:]:\n"
             "    assert edgedist.cli.main(sys.argv[1:]) == 0\n"
-            "print([m for m in ('scipy.integrate', 'scipy.interpolate')\n"
-            "       if m in sys.modules])")
+            "print([m for m in ('scipy.integrate', 'scipy.interpolate',\n"
+            "                   'scipy.special') if m in sys.modules])")
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
 
     def loaded(*argv):
@@ -384,5 +389,6 @@ def test_warm_cli_leaves_out_integrate_and_interpolate(tmp_path):
     assert loaded() == "[]"
     for argv in (["table", "--beta", "2", "--s", "0"],
                  ["moments", "--beta", "2"]):
-        assert "scipy.integrate" in loaded(*argv)  # a miss solves
+        cold = loaded(*argv)  # a miss solves
+        assert "scipy.integrate" in cold and "scipy.special" in cold
         assert loaded(*argv) == "[]"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from edgedist import specfun
+from edgedist import painleve, specfun
 
 AI0 = 0.3550280538878172
 AIP0 = -0.2588194037928068
@@ -170,21 +170,36 @@ SERVED = np.linspace(6.0, 60.0, 301)
 BAND = np.searchsorted([9.5, 20.0, 40.0], SERVED)
 
 
+# each tail's scaling on [6, 60]: its power of x, and the multiple of
+# zeta = (2/3) x^{3/2} in its exponential (DLMF 9.7)
+SCALING = {"Ai": (0.25, 1), "Ai'": (-0.25, 1), "T": (1.5, 2), "V": (1.0, 2),
+           "W": (0.75, 1)}
+
+
 @pytest.fixture(scope="module")
 def served_tails():
+    # the five tails at the SERVED doubles, and their scaled forms under
+    # the key (name, "scaled")
     mp = pytest.importorskip("mpmath")
-    ref = {"W": [], "V": [], "T": []}
+    ref = {}
     for x in map(mp.mpf, SERVED):
         # 1/3 - int_0^x Ai cancels 136 digits at x = 60; 200 leave 64
         with mp.workdps(200):
-            ref["W"].append(float(1 / mp.mpf(3) - mp.airyai(x, -1)))
+            W = 1 / mp.mpf(3) - mp.airyai(x, -1)
         # the closed forms cancel 9 digits at most; 200 give the same
         # doubles as 40
         with mp.workdps(40):
             ai, aip = mp.airyai(x), mp.airyai(x, 1)
-            ref["V"].append(float(aip * aip - x * ai * ai))
-            ref["T"].append(float(-ai * aip / 3 - 2 * x * aip * aip / 3
-                                  + 2 * x * x * ai * ai / 3))
+            tails = {"Ai": ai, "Ai'": aip, "W": W,
+                     "V": aip * aip - x * ai * ai,
+                     "T": -ai * aip / 3 - 2 * x * aip * aip / 3
+                     + 2 * x * x * ai * ai / 3}
+            zeta = 2 * x * mp.sqrt(x) / 3
+            for name, v in tails.items():
+                power, k = SCALING[name]
+                ref.setdefault(name, []).append(float(v))
+                ref.setdefault((name, "scaled"), []).append(
+                    float(v * mp.exp(k * zeta) * x ** power))
     return {k: np.array(v) for k, v in ref.items()}
 
 
@@ -195,36 +210,65 @@ def band_errors(got, ref):
 
 def test_ai_tail_over_served_range(served_tails):
     # the bounds sit at special.airy's own relative error for Ai in each
-    # band (3.8e-15, 1.1e-14, 3.7e-14, 7.2e-14), which q = Ai beyond
-    # x_right already carries; the K_{1/3} rule measures 3.6e-15,
-    # 7.6e-15, 2.0e-14, 4.8e-14 here
+    # band (3.8e-15, 1.1e-14, 3.7e-14, 7.2e-14); the K_{1/3} rule, which
+    # gives the solves' W at x_right, measures 3.6e-15, 7.6e-15,
+    # 2.0e-14, 4.8e-14 here
     errs = band_errors(specfun.ai_tail(SERVED), served_tails["W"])
     for err, bound in zip(errs, (5e-15, 2e-14, 5e-14, 1e-13)):
         assert err <= bound
 
 
+def test_airy_tail_coefficients_against_mpmath(served_tails):
+    # the committed series alone are within 2e-15 of the scaled tails
+    # (they measure 2.2e-16); the tails themselves add the error of
+    # e^{-zeta} in double precision, which grows with zeta to 7.8e-14
+    # at x = 60, and stay inside special.airy's bands for Ai (see
+    # test_ai_tail_over_served_range)
+    scaled, _ = specfun._scaled_tails(SERVED)
+    for name, got in zip(SCALING, scaled):
+        err = np.abs(got / served_tails[name, "scaled"] - 1.0)
+        assert err.max() <= 2e-15, name
+    ai, aip, _, _, W = specfun.airy_tail(SERVED)
+    for name, got in (("Ai", ai), ("Ai'", aip), ("W", W)):
+        errs = band_errors(got, served_tails[name])
+        for err, bound in zip(errs, (5e-15, 2e-14, 5e-14, 1e-13)):
+            assert err <= bound, name
+
+
 def test_ai2_tails_over_served_range(served_tails):
-    # the closed forms cancel: V = Ai'^2 - x Ai^2 mildly, T = I beyond
-    # x_right heavily, so 1 - F_2 there has about 2e-12 relative error
-    # at best; the bounds are the measured maxima, rounded up
+    # V and T carry the error of e^{-2 zeta} in double precision, with
+    # no cancellation (the closed forms from special.airy cancel, to
+    # 1.2e-12 and 6.0e-10 here); the bounds are the measured maxima,
+    # rounded up
     _, _, T, V, _ = specfun.airy_tail(SERVED)
     errs = band_errors(V, served_tails["V"])
-    for err, bound in zip(errs, (5.3e-14, 1.3e-13, 5.8e-13, 1.2e-12)):
+    for err, bound in zip(errs, (5.8e-15, 2.8e-14, 5.3e-14, 1.6e-13)):
         assert err <= bound
     errs = band_errors(T, served_tails["T"])
-    for err, bound in zip(errs, (2.0e-12, 1.4e-11, 1.9e-10, 6.0e-10)):
+    for err, bound in zip(errs, (5.4e-15, 2.7e-14, 5.3e-14, 1.6e-13)):
         assert err <= bound
 
 
-@pytest.mark.parametrize("x", [SERVED, 6.0, 1.5, -4.0])
-def test_airy_tail_is_its_parts(x):
-    if np.min(x) < 2.0:
-        with pytest.raises(ValueError, match="range error"):
-            specfun.airy_tail(x)
-        return
-    ai, aip, T, V, W = specfun.airy_tail(x)
-    pair = specfun.airy(x)
-    assert type(T) is type(V) is type(pair.ai)
-    for g, w in zip((ai, aip, W), (pair.ai, pair.aip, specfun.ai_tail(x))):
-        assert type(g) is type(w)
-        assert np.array_equal(g, w)
+@pytest.mark.parametrize("x", [5.999, 1.5, -4.0, np.array([60.0, 5.0])])
+def test_airy_tail_below_6_is_a_range_error(x):
+    # the series are fitted on [6, 60]
+    with pytest.raises(ValueError, match="range error"):
+        specfun.airy_tail(x)
+
+
+def test_right_end_data_are_the_closed_forms():
+    # the solves read (q, q', I, I', J) at x_right = 6 from special.airy
+    # and the K_{1/3} rule, as before the series, so no solution changes
+    # a bit: Ai, Ai', T = -(1/3) Ai Ai' - (2/3) x Ai'^2 + (2/3) x^2 Ai^2,
+    # V = Ai'^2 - x Ai^2 and W, scaled by r = sqrt(lam) and lam
+    x = painleve.SolverConfig.x_right
+    ai, aip, _, _ = special.airy(x)
+    T = -(ai * aip) / 3.0 - (2.0 / 3.0) * x * aip * aip \
+        + (2.0 / 3.0) * x * x * ai * ai
+    V = aip * aip - x * ai * ai
+    W = specfun.ai_tail(x)
+    for order, lam in ((4, 1.0), (1, 1.0), (0, 0.5)):
+        r, lam_col = painleve._tail_columns(order, lam)
+        got = painleve._tail_state(x, r, lam_col)
+        want = (r * ai, r * aip, lam_col * T, -lam_col * V, r * W)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]

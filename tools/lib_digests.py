@@ -5,7 +5,10 @@ this script.  Each array prints as one line:
 
     sha256(raw bytes) label
 
-The raw bytes count the sign of a zero, so -0.0 and 0.0 differ.  The
+The raw bytes count the sign of a zero, so -0.0 and 0.0 differ.  An
+array over s points prints as two lines, labelled ``s<=6`` and ``s>6``
+(the second only if it has points), so that values from the Airy tails
+beyond x_right = 6 show apart from those of the solve.  The
 moments of a (beta, m) print as the repr of their floats, first on the
 1801-point grid, then on the 2001-point grid:
 
@@ -26,9 +29,11 @@ cache state) of the solves (x_left, jet order) = (-13.5, 4), (-10, 0)
 and (-20.25, 1), on 4,004 points of [x_left, 12] plus 6, 6 + 1e-9 and
 12; F and f of all 12 (beta, m) pairs from the (-13.5, 4) solve on the
 1201-, 1801-, 191-, 451- and 2001-point grids, and ``dist.moments`` of
-the 1801- and 2001-point tables; ``specfun.airy_tail``
-on [2, 60]; the jets of the lambda = 0.5 solution at the six points
-of ``verify --check oracle`` and at 7.5; ``oracle.nystrom_d2`` at
+the 1801- and 2001-point tables; ``specfun.airy_tail`` on [6, 60];
+the solves' right-end data at x_right for jet orders 0-4 and for
+lambda = 0.5 (``painleve._tail_state``); the jets of the lambda = 0.5
+solution at the six points of ``verify --check oracle`` and at 7.5;
+``oracle.nystrom_d2`` at
 lambda = 1 and 0.5, and ``oracle.nystrom_d4``, at those six points
 with n = 200; the samples of ``rmt.collect`` for the five Monte-Carlo
 job classes of the benchmark (GOE 400, GUE 200, GSE 100, Wishart
@@ -53,6 +58,7 @@ GRIDS = {"table": (-8.0, 4.0, 1201), "moments": (-13.0, 9.5, 1801),
          "cli-moments": (-13.0, 12.0, 2001)}
 ORACLE_POINTS = (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 7.5)
 # (ensemble, size, rows, cols)
+X_RIGHT = 6.0
 MC_JOBS = (("goe", 400, 0, 0), ("gue", 200, 0, 0), ("gse", 100, 0, 0),
            ("wishart", 0, 100, 400), ("wishart", 0, 100, 100))
 
@@ -61,6 +67,15 @@ def line(label, data):
     if not isinstance(data, bytes):
         data = np.ascontiguousarray(data, dtype=float).tobytes()
     print(hashlib.sha256(data).hexdigest(), label, flush=True)
+
+
+def split_line(label, s, data):
+    # the points up to x_right and those beyond it as two lines, so that
+    # a change in the Airy tails shows apart from the solve's values
+    right = np.asarray(s) > X_RIGHT
+    line(f"{label} s<=6", np.asarray(data)[..., ~right])
+    if right.any():
+        line(f"{label} s>6", np.asarray(data)[..., right])
 
 
 def main(argv):
@@ -85,7 +100,7 @@ def main(argv):
         s = np.concatenate([np.linspace(x_left, 12.0, 4004),
                             [6.0, 6.0 + 1e-9, 12.0]])
         for name, a in zip(painleve.JetBundle._fields, sol.jets(s)):
-            line(f"jets {tag} {name}", a)
+            split_line(f"jets {tag} {name}", s, a)
 
     sol = sols[-13.5, 4]
     tables = {}
@@ -96,8 +111,8 @@ def main(argv):
                 t = dist.cdf(dist.DistRequest(beta=beta, m=m, s_grid=grid),
                              sol)
                 tables[grid_name, beta, m] = t
-                line(f"F {grid_name} beta={beta} m={m}", t.F)
-                line(f"f {grid_name} beta={beta} m={m}", t.f)
+                split_line(f"F {grid_name} beta={beta} m={m}", grid, t.F)
+                split_line(f"f {grid_name} beta={beta} m={m}", grid, t.f)
     for beta in (1, 2, 4):
         for m in range(1, 5):
             stats = [tuple(map(float, dataclasses.astuple(
@@ -106,13 +121,17 @@ def main(argv):
             print(f"moments beta={beta} m={m}", *stats, flush=True)
 
     for name, a in zip(("Ai", "Ai'", "T", "V", "W"),
-                       specfun.airy_tail(np.linspace(2.0, 60.0, 5801))):
+                       specfun.airy_tail(np.linspace(6.0, 60.0, 5401))):
         line(f"airy_tail {name}", a)
+    for order, lam in [(k, 1.0) for k in range(5)] + [(0, 0.5)]:
+        data = painleve._tail_state(X_RIGHT,
+                                    *painleve._tail_columns(order, lam))
+        line(f"right-end data j{order} lambda={lam!r}", np.array(data))
 
     half = painleve.solve_at_lambda(0.5)
     for name, a in zip(painleve.JetBundle._fields,
                        half.jets(np.array(ORACLE_POINTS))):
-        line(f"lambda=0.5 {name}", a)
+        split_line(f"lambda=0.5 {name}", ORACLE_POINTS, a)
 
     pts = ORACLE_POINTS[:-1]
     for lam in (1.0, 0.5):
