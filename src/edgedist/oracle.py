@@ -9,6 +9,7 @@ K_1(x, y) = Ai((x + y)/2)/2.  Agreement with the Painleve closed forms
 is the main cross-validation of both implementations.
 """
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -34,12 +35,22 @@ def build_rule(s, n=200):
     variables, so sum(w * f(nodes)) approximates the integral over
     (s, inf) directly.
     """
+    offsets, weights = _unit_rule(n)
+    return QuadratureRule(nodes=s + offsets, weights=weights)
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_rule(n):
+    # the s-independent parts of ``build_rule``, read-only: the offsets
+    # L u / (1 - u) of the nodes from s, and the weights
     u, w = np.polynomial.legendre.leggauss(n)
     u = 0.5 * (u + 1.0)
     w = 0.5 * w
-    nodes = s + _L * u / (1.0 - u)
+    offsets = _L * u / (1.0 - u)
     weights = w * _L / (1.0 - u) ** 2
-    return QuadratureRule(nodes=nodes, weights=weights)
+    offsets.setflags(write=False)
+    weights.setflags(write=False)
+    return offsets, weights
 
 
 def _check_args(s, n):

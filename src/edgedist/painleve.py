@@ -24,8 +24,10 @@ only; both return a ``PainleveSolution``.
 
 The interpolants evaluate in numpy, with the operations of the scipy
 objects the solve returns, and the values past x_right come from
-``specfun.airy_tail``'s series, so a cache hit imports only numpy;
-``scipy.integrate`` and ``scipy.special`` are imported by the solves.
+``specfun.airy_tail``'s series, so a cache hit imports only numpy, as
+does ``boundary_jet``.  Only the solves import ``scipy.integrate`` and
+``scipy.special``: the right-end data at x_right are scipy's Ai and
+Ai' and ``specfun.ai_tail`` (see ``_tail_state``).
 """
 
 import bisect
@@ -323,10 +325,11 @@ def _scale_tails(tails, r, lam):
 
 def _tail_state(x, r, lam):
     # the solves' right-end data at the point x: ``_scale_tails`` of Ai
-    # and Ai' from ``specfun.airy``, T = -(1/3) Ai Ai' - (2/3) x Ai'^2 +
-    # (2/3) x^2 Ai^2 and V = Ai'^2 - x Ai^2 in closed form, and W from
-    # ``specfun.ai_tail``
-    ai, aip = specfun.airy(x)
+    # and Ai' from ``scipy.special.airy``, T = -(1/3) Ai Ai' - (2/3) x
+    # Ai'^2 + (2/3) x^2 Ai^2 and V = Ai'^2 - x Ai^2 in closed form, and W
+    # from ``specfun.ai_tail``; these closed forms fix every solve's bits
+    from scipy import special
+    ai, aip, _, _ = special.airy(x)
     T = -(ai * aip) / 3.0 - (2.0 / 3.0) * x * aip * aip \
         + (2.0 / 3.0) * x * x * ai * ai
     V = aip * aip - x * ai * ai

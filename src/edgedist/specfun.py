@@ -4,14 +4,17 @@ Double-precision Ai and Ai' on the working range [-60, 60], and the
 Airy kernel with a confluent branch near the diagonal.  The tail
 integrals serve the Painleve solution right of x_right = 6:
 ``airy_tail`` gives Ai, Ai' and the tails of Ai, Ai^2 and (u-x)Ai^2 on
-[6, 60] from committed Chebyshev series in numpy, and ``ai_tail``
-integrates Ai from K_{1/3}, for the solves' right-end data.
+[6, 60], and ``ai_tail`` integrates Ai from K_{1/3}, for the solves'
+right-end data.
 
-A warm process needs numpy only: ``airy``, ``airy_kernel`` and
-``ai_tail`` import ``scipy.special`` on first use, and only the solves,
-the oracle and ``painleve.boundary_jet`` call them.
+Everything but ``ai_tail`` evaluates committed Chebyshev series in
+numpy: ``airy`` reads ``airy_tail``'s rows right of 6 and, on its
+first call, imports the series of ``_airy_coeffs`` for the rest.
+``scipy.special`` is imported only by the solves, for ``ai_tail`` and
+``painleve._tail_state``.
 """
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +49,14 @@ def _scalar(v):
 def airy(x):
     """Evaluate Ai(x) and Ai'(x).
 
+    Committed Chebyshev series: pieces of width 2 in x on [-8, 6), the
+    modulus and phase (DLMF 9.8) in 1/zeta, zeta = (2/3) |x|^{3/2},
+    left of -8, and ``airy_tail``'s rows right of 6, with its bits.
+    Left of 6 the error is within 6e-16 of the largest |Ai| (|Ai'|)
+    on each of [-60, -30], [-30, -10], [-10, -6], [-6, 0] and [0, 6];
+    right of 6 it is ``airy_tail``'s.  A point's value does not depend
+    on the other points asked for.
+
     Parameters
     ----------
     x : float or array_like
@@ -56,9 +67,17 @@ def airy(x):
     AiryPair
         Fields ``ai`` and ``aip``; scalars for scalar input, arrays otherwise.
     """
-    from scipy import special
-    ai, aip, _, _ = special.airy(_check_range(x))
-    return AiryPair(_scalar(ai), _scalar(aip))
+    xa = _check_range(x)
+    flat = xa.ravel()
+    out = np.empty((2, flat.size))
+    c = _series()[0]
+    left, right = flat < c.X_LO, flat >= c.X_HI
+    for region, evaluate in ((left, _modulus_phase),
+                             (right, lambda v: _tails(v, 2)),
+                             (~(left | right), _piecewise)):
+        if region.any():
+            out[:, region] = evaluate(flat[region])
+    return AiryPair(*(_scalar(a.reshape(xa.shape)) for a in out))
 
 
 def airy_kernel(x, y):
@@ -68,12 +87,11 @@ def airy_kernel(x, y):
     K(x, x) = Ai'(x)^2 - x Ai(x)^2 is used at the midpoint, where the
     difference quotient would cancel catastrophically.  Broadcasts.
     """
-    from scipy import special
     # Ai and Ai' once per node; the products below broadcast
     xa = _check_range(x)
     ya = _check_range(y)
-    aix, aipx, _, _ = special.airy(xa)
-    aiy, aipy, _, _ = special.airy(ya)
+    aix, aipx = airy(xa)
+    aiy, aipy = airy(ya)
     d = xa - ya
     near = np.abs(d) < CONFLUENT_EPS
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -81,19 +99,28 @@ def airy_kernel(x, y):
     if np.any(near):
         # Ai and Ai' at the midpoints of the near pairs only
         m = np.asarray(0.5 * (xa + ya))[near]
-        aim, aipm, _, _ = special.airy(m)
+        aim, aipm = airy(m)
         # K is even in y-x about the midpoint, so the diagonal value there
         # is accurate to O((x-y)^2)
         k[near] = aipm * aipm - m * aim * aim
     return _scalar(k)
 
 
-# Gauss-Laguerre rule for the tail integral at x >= _LAGUERRE_FROM: in
-# the scaled variable v = sqrt(x) (u - x) the integrand Ai(u) decays like
-# e^{-v} times a slowly varying factor
+# the tail integral's Gauss-Laguerre rule holds from here on
 _LAGUERRE_FROM = 2.0
-_LAGUERRE_V, _LAGUERRE_W = np.polynomial.laguerre.laggauss(30)
-_LAGUERRE_W = _LAGUERRE_W * np.exp(_LAGUERRE_V)
+
+
+@functools.lru_cache(maxsize=None)
+def _laguerre_rule():
+    # the 30 nodes v and the weights w e^{v}, read-only: in the scaled
+    # variable v = sqrt(x) (u - x) the integrand Ai(u) decays like e^{-v}
+    # times a slowly varying factor.  Built on the first call, from a
+    # solve, so that an import loads no numpy.polynomial
+    v, w = np.polynomial.laguerre.laggauss(30)
+    w = w * np.exp(v)
+    v.setflags(write=False)
+    w.setflags(write=False)
+    return v, w
 
 
 def ai_tail(x):
@@ -111,12 +138,13 @@ def ai_tail(x):
         raise ValueError(f"range error: the Ai tail integral needs "
                          f"x >= {_LAGUERRE_FROM}")
     from scipy import special
+    v, w = _laguerre_rule()
     flat = xa.ravel()
     r = np.sqrt(flat)
-    u = flat[:, None] + _LAGUERRE_V / r[:, None]
+    u = flat[:, None] + v / r[:, None]
     su = np.sqrt(u)
     ai = su * special.kv(1.0 / 3.0, (2.0 / 3.0) * u * su)
-    out = ai @ _LAGUERRE_W / (np.pi * np.sqrt(3.0) * r)
+    out = ai @ w / (np.pi * np.sqrt(3.0) * r)
     return _scalar(out.reshape(xa.shape))
 
 
@@ -126,12 +154,22 @@ _TAIL_COEFFS = np.array(_tail.COEFFS).T
 _TAIL_POWERS = np.array([0.25, -0.25, 1.5, 1.0, 0.75])
 
 
-def _scaled_tails(x):
-    # the five scaled tails of ``_airy_tail_coeffs`` at x in [6, 60],
-    # shape (5,) + x.shape, and zeta = (2/3) x^{3/2}
+def _scaled_tails(x, rows=5):
+    # the first ``rows`` scaled tails of ``_airy_tail_coeffs`` at x in
+    # [6, 60], shape (rows,) + x.shape, and zeta = (2/3) x^{3/2}
     zeta = (2.0 / 3.0) * x * np.sqrt(x)
     t = (1.0 / zeta - _tail.W_MID) / _tail.W_HALF
-    return np.polynomial.chebyshev.chebval(t, _TAIL_COEFFS), zeta
+    return np.polynomial.chebyshev.chebval(t, _TAIL_COEFFS[:, :rows]), zeta
+
+
+def _tails(x, rows=5):
+    # the first ``rows`` of (Ai, Ai', T, V, W) at x in [6, 60]; each row
+    # has the same bits for any ``rows``
+    scaled, zeta = _scaled_tails(x, rows)
+    e = np.exp(-zeta)
+    decay = np.stack([e, e, e * e, e * e, e][:rows])
+    powers = _TAIL_POWERS[:rows].reshape((rows,) + (1,) * x.ndim)
+    return scaled * decay / x ** powers
 
 
 def airy_tail(x):
@@ -149,8 +187,73 @@ def airy_tail(x):
     if np.any(xa < _tail.X_LO):
         raise ValueError(f"range error: the Airy tail series needs "
                          f"x >= {_tail.X_LO}")
-    scaled, zeta = _scaled_tails(xa)
-    e = np.exp(-zeta)
-    decay = np.stack([e, e, e * e, e * e, e])
-    out = scaled * decay / xa ** _TAIL_POWERS.reshape((5,) + (1,) * xa.ndim)
-    return tuple(map(_scalar, out))
+    return tuple(map(_scalar, _tails(xa)))
+
+
+@functools.lru_cache(maxsize=None)
+def _series():
+    # ``_airy_coeffs``, imported on the first ``airy`` call, with its
+    # pieces as an array (terms, 2, pieces) and its oscillatory rows as
+    # (terms, 4)
+    from . import _airy_coeffs as c
+    return (c, np.array(c.PIECES).transpose(2, 1, 0),
+            np.array(c.OSCILLATORY).T)
+
+
+def _piecewise(x):
+    # (Ai, Ai') on [-8, 6): each point reads the series of its piece of
+    # width 2, in t = x - (the piece's midpoint), by Clenshaw's recurrence
+    c, pieces, _ = _series()
+    k = np.minimum((x - c.X_LO) // 2.0, pieces.shape[2] - 1).astype(int)
+    t = x - (c.X_LO + 1.0 + 2.0 * k)
+    two_t = 2.0 * t
+    b1 = b2 = 0.0
+    for cj in pieces[:0:-1]:
+        b1, b2 = cj[:, k] + two_t * b1 - b2, b1
+    return pieces[0][:, k] + t * b1 - b2
+
+
+def _modulus_phase(x):
+    # (Ai, Ai') left of -8 (DLMF 9.8): with u = -x, Ai(-u) = M cos theta
+    # and Ai'(-u) = N cos phi, where theta = pi/4 - zeta + a/zeta and
+    # phi = 3 pi/4 - zeta + b/zeta, and M u^{1/4}, N u^{-1/4}, a and b
+    # are series in 1/zeta.  zeta reaches 310 at u = 60, more than the
+    # phases' digits allow in one double, so with zeta = zh + zl each
+    # cosine is cos(zh + r) = cos zh cos r - sin zh sin r for the small r
+    c, _, oscillatory = _series()
+    u = -x
+    zh, zl = _zeta(u)
+    w = 1.0 / zh
+    m, n, a, b = np.polynomial.chebyshev.chebval((w - c.W_MID) / c.W_HALF,
+                                                 oscillatory)
+    r = zl - np.array([[0.25 * np.pi], [0.75 * np.pi]]) - np.stack([a, b]) * w
+    q = u ** 0.25
+    return (np.stack([m / q, n * q])
+            * (np.cos(zh) * np.cos(r) - np.sin(zh) * np.sin(r)))
+
+
+def _split(a):
+    # a = h + l with h on the upper 26 bits of the significand (Veltkamp)
+    c = 134217729.0 * a
+    h = c - (c - a)
+    return h, a - h
+
+
+def _two_product(a, b):
+    # a * b = p + e exactly (Dekker); numpy does not fuse multiply-adds
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _zeta(u):
+    # zeta = (2/3) u^{3/2} as zh + zl, to about 1e-30 relative: sqrt(u)
+    # is s + s_lo by one Newton step on the exact residual u - s^2, and
+    # 2/3 is its double plus 2^-53/3
+    s = np.sqrt(u)
+    ss, e = _two_product(s, s)
+    s_lo = ((u - ss) - e) / (2.0 * s)
+    p, e = _two_product(u, s)
+    zh, e2 = _two_product(2.0 / 3.0, p)
+    return zh, e2 + (2.0 / 3.0) * (e + u * s_lo) + 2.0 ** -53 / 3.0 * p

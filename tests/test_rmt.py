@@ -392,3 +392,33 @@ def test_warm_cli_leaves_out_integrate_and_interpolate(tmp_path):
         cold = loaded(*argv)  # a miss solves
         assert "scipy.integrate" in cold and "scipy.special" in cold
         assert loaded(*argv) == "[]"
+
+
+def test_warm_oracle_and_airy_leave_out_special(tmp_path):
+    # Ai and Ai' are committed series on all of [-60, 60]: after a
+    # cache hit, the Nystrom oracle, the Airy kernel and the boundary
+    # jets run on numpy alone; only a miss, which solves, loads
+    # scipy.special
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rmt.__file__)))
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from edgedist import oracle, painleve, specfun\n"
+            "painleve.solve()\n"
+            "if sys.argv[1:]:\n"
+            "    oracle.nystrom_d2(-2.0, 1.0, 200)\n"
+            "    oracle.nystrom_d4(-2.0, 200)\n"
+            "    x = np.linspace(-60.0, 60.0, 1201)\n"
+            "    specfun.airy(x)\n"
+            "    specfun.airy_kernel(x[:, None], x[None, :])\n"
+            "    painleve.boundary_jet(np.linspace(4.0, 60.0, 57))\n"
+            "print('scipy.special' in sys.modules)")
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+
+    def loaded(*argv):
+        out = subprocess.run([sys.executable, "-c", code, *argv],
+                             capture_output=True, text=True, timeout=120,
+                             check=True, cwd=src, env=env)
+        return out.stdout.splitlines()[-1]
+
+    assert loaded() == "True"  # a miss solves
+    assert loaded("oracle") == "False"

@@ -36,12 +36,16 @@ def test_airy_equation_by_finite_difference():
 
 
 def test_airy_vectorized_matches_scalar():
-    xs = np.array([-5.0, 0.0, 1.5])
+    # points in each region of the series and at their joins, among
+    # them the largest double below 6
+    xs = np.array([-60.0, -31.7, -8.0 - 1e-12, -8.0, -5.0, 0.0, 1.5,
+                   np.nextafter(6.0, 0.0), 6.0, 30.0, 60.0])
     vec = specfun.airy(xs)
+    grid = specfun.airy(xs.reshape(1, -1, 1))
     for i, x in enumerate(xs):
         one = specfun.airy(float(x))
-        assert vec.ai[i] == one.ai
-        assert vec.aip[i] == one.aip
+        assert vec.ai[i] == one.ai == grid.ai[0, i, 0]
+        assert vec.aip[i] == one.aip == grid.aip[0, i, 0]
 
 
 def test_airy_range_error():
@@ -124,16 +128,55 @@ def test_kernel_grid_equals_midpoint_form_everywhere():
     x = np.concatenate([np.linspace(-8.0, 5.0, 60),
                         [0.3, 0.3 + 5e-7, -2.0]])
     xa, ya = x[:, None], x[None, :]
-    aix, aipx, _, _ = special.airy(xa)
-    aiy, aipy, _, _ = special.airy(ya)
+    aix, aipx = specfun.airy(xa)
+    aiy, aipy = specfun.airy(ya)
     with np.errstate(divide="ignore", invalid="ignore"):
         far = (aix * aipy - aipx * aiy) / (xa - ya)
     m = 0.5 * (xa + ya)
-    aim, aipm, _, _ = special.airy(m)
+    aim, aipm = specfun.airy(m)
     want = np.where(np.abs(xa - ya) < specfun.CONFLUENT_EPS,
                     aipm * aipm - m * aim * aim, far)
     assert specfun.airy_kernel(xa, ya).tobytes() == want.tobytes()
     assert specfun.airy_kernel(x[-1], x[-1]) == want[-1, -1]
+
+
+# Ai and Ai' left of 6 against mpmath, on a grid that holds the joins
+# -8 and -6 of the series, in the bands [-60, -30], (-30, -10],
+# (-10, -6], (-6, 0] and (0, 6)
+AIRY_GRID = np.linspace(-60.0, 6.0, 661)[:-1]
+AIRY_BAND = np.searchsorted([-30.0, -10.0, -6.0, 0.0], AIRY_GRID)
+
+
+@pytest.fixture(scope="module")
+def airy_reference():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        return np.array([[float(mp.airyai(x, d)) for x in map(mp.mpf,
+                                                              AIRY_GRID)]
+                         for d in (0, 1)])
+
+
+def test_airy_series_against_mpmath(airy_reference):
+    # max |error| / max |Ai| per band.  The series measure 3.1e-16 (Ai)
+    # and 6.0e-16 (Ai') at most; scipy.special.airy measures
+    # 5.0e-14, 2.0e-14, 3.5e-15, 1.5e-15, 1.6e-15 (Ai) and 6.8e-14,
+    # 1.9e-14, 3.6e-15, 1.7e-15, 3.4e-15 (Ai'), which no bound exceeds
+    for got, ref in zip(specfun.airy(AIRY_GRID), airy_reference):
+        for band, bound in enumerate((1.5e-15, 1.5e-15, 1.5e-15, 1e-15,
+                                      1e-15)):
+            sel = AIRY_BAND == band
+            err = np.abs(got[sel] - ref[sel]).max()
+            assert err <= bound * np.abs(ref[sel]).max(), band
+
+
+def test_airy_right_of_6_is_the_tail_series():
+    # the same bits as airy_tail's first two rows, whose accuracy
+    # test_airy_tail_coefficients_against_mpmath bounds
+    x = np.linspace(6.0, 60.0, 541)
+    ai, aip, _, _, _ = specfun.airy_tail(x)
+    pair = specfun.airy(x)
+    assert pair.ai.tobytes() == ai.tobytes()
+    assert pair.aip.tobytes() == aip.tobytes()
 
 
 def test_ai_tail_decreasing():
