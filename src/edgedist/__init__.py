@@ -15,7 +15,7 @@ from . import specfun, jet, painleve, dist, oracle, rmt
 from .jet import aj_sequence
 from .painleve import SolverConfig, PainleveSolution, solve
 from .dist import DistRequest, DistTable, SummaryStats, cdf, moments
-from .rmt import EnsembleConfig, SpectrumSample, sample_spectrum, wishart_spectrum
+from .rmt import EnsembleConfig, SpectrumSample, sample_spectrum
 
 __all__ = [
     "__version__",
@@ -23,5 +23,5 @@ __all__ = [
     "aj_sequence",
     "SolverConfig", "PainleveSolution", "solve",
     "DistRequest", "DistTable", "SummaryStats", "cdf", "moments",
-    "EnsembleConfig", "SpectrumSample", "sample_spectrum", "wishart_spectrum",
+    "EnsembleConfig", "SpectrumSample", "sample_spectrum",
 ]

@@ -2,12 +2,12 @@
 
 Matrices are drawn from a counter-based generator keyed by
 (seed, rep_index), so any rep can be produced independently of the
-others, bit for bit the same as in a full run.  The symplectic
-ensemble is drawn through the orthogonal one, as every second
-eigenvalue of a GOE of odd dimension, so the three Gaussian ensembles
+others, bit for bit the same as in a full run.  All four ensembles
 share one path: draw a matrix, diagonalize it once, take the top
-eigenvalues by rank.  Edge rescaling brings them onto the scale of the
-limiting laws computed by the dist module.
+eigenvalues by rank.  The symplectic ensemble is drawn as every second
+eigenvalue of a GOE of odd dimension, and a Wishart matrix through the
+smaller of its two Gram matrices.  Edge rescaling brings them onto the
+scale of the limiting laws computed by the dist module.
 """
 
 import math
@@ -46,6 +46,8 @@ class EnsembleConfig:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         object.__setattr__(self, "ensemble", kind)
         _check_key("seed", self.seed)
+        for name in ("size", "reps", "top_k", "rows", "cols"):
+            _integer(name, getattr(self, name))
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.top_k < 1:
@@ -56,9 +58,8 @@ class EnsembleConfig:
             if self.top_k > min(self.rows, self.cols):
                 raise ValueError("top_k exceeds the nonzero spectrum")
             object.__setattr__(self, "size", self.cols)
-        else:
-            if self.size < self.top_k:
-                raise ValueError("size must be >= top_k")
+        elif self.size < self.top_k:
+            raise ValueError("size must be >= top_k")
 
 
 class SpectrumSample(NamedTuple):
@@ -81,13 +82,16 @@ class PercentileReport:
     proportions: tuple
 
 
+def _integer(name, value):
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_key(name, value):
     # the stream is keyed by (seed, rep_index), each one 64-bit word
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(
-            f"{name} must be an integer, got {value!r}") from None
+    value = _integer(name, value)
     if not 0 <= value < 2 ** 64:
         raise ValueError(f"{name} must be in [0, 2**64), got {value}")
 
@@ -119,6 +123,12 @@ def _gue_matrix(rng, n):
         + 1j * (k - k.T) / (2.0 * math.sqrt(2.0))
 
 
+def _wishart_gram(rng, rows, cols):
+    # X^t X and X X^t share their nonzero spectrum: take the smaller
+    x = rng.standard_normal((rows, cols))
+    return x @ x.T if cols > rows else x.T @ x
+
+
 def _eigvalsh(m, rep_index):
     try:
         vals = np.linalg.eigvalsh(m)
@@ -138,47 +148,31 @@ def johnstone_center(n, p):
 
 
 def sample_spectrum(config, rep_index):
-    """Draw one matrix and return its top_k edge-rescaled eigenvalues.
+    """Draw one matrix and return its top_k eigenvalues, raw and rescaled.
 
     Deterministic in (config.seed, rep_index).  The symplectic ensemble
     of quaternion dimension N is drawn as the orthogonal ensemble of
     dimension 2N+1: its 2nd, 4th, ... largest eigenvalues have the
     joint law of the symplectic spectrum (Forrester and Rains, 2001),
-    and its rescaling uses 2N+1.
+    and its rescaling uses 2N+1.  The Wishart matrix is X^t X for X an
+    n x p standard-normal matrix (n = rows, p = cols), rescaled as
+    (l - mu_np) / sigma_np by `johnstone_center`.
     """
-    if not 0 <= rep_index < config.reps:
-        raise ValueError("rep_index out of range")
-    if config.ensemble == "wishart":
-        return wishart_spectrum(config.rows, config.cols, config.seed,
-                                rep_index, top_k=config.top_k)
-    n, step = config.size, 1
-    if config.ensemble == "gse":
-        n, step = 2 * n + 1, 2
-    matrix = _gue_matrix if config.ensemble == "gue" else _goe_matrix
-    vals = _eigvalsh(matrix(_rng(config.seed, rep_index), n), rep_index)
-    raw = vals[-step::-step][:config.top_k]
-    return SpectrumSample(edge_scale(raw, n), raw)
-
-
-def wishart_spectrum(n, p, seed, rep_index, top_k=1):
-    """Top eigenvalues of X^t X for X an n x p standard-normal matrix.
-
-    Scaled output is (l - mu_np) / sigma_np.  When p > n the nonzero
-    spectrum of X^t X equals that of X X^t, so the smaller Gram matrix
-    is diagonalized.
-    """
-    if n < 2 or p < 1:
-        raise ValueError("need n >= 2 and p >= 1")
-    if not 1 <= top_k <= min(n, p):
-        raise ValueError("top_k exceeds the nonzero spectrum")
-    _check_key("seed", seed)
     _check_key("rep_index", rep_index)
-    rng = _rng(seed, rep_index)
-    x = rng.standard_normal((n, p))
-    gram = x @ x.T if p > n else x.T @ x
-    vals = _eigvalsh(gram, rep_index)
-    raw = vals[::-1][:top_k]
-    mu, sigma = johnstone_center(n, p)
+    if rep_index >= config.reps:
+        raise ValueError(f"rep_index must be < reps, got {rep_index}")
+    rng = _rng(config.seed, rep_index)
+    kind, n, step = config.ensemble, config.size, 1
+    if kind == "gse":
+        n, step = 2 * n + 1, 2
+    if kind == "wishart":
+        matrix = _wishart_gram(rng, config.rows, config.cols)
+    else:
+        matrix = (_gue_matrix if kind == "gue" else _goe_matrix)(rng, n)
+    raw = _eigvalsh(matrix, rep_index)[-step::-step][:config.top_k]
+    if kind != "wishart":
+        return SpectrumSample(edge_scale(raw, n), raw)
+    mu, sigma = johnstone_center(config.rows, config.cols)
     return SpectrumSample((raw - mu) / sigma, raw)
 
 

@@ -37,9 +37,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed"):
             EnsembleConfig(ensemble="goe", size=5, seed=seed)
         with pytest.raises(ValueError, match="seed"):
-            rmt.wishart_spectrum(5, 3, seed, 0)
+            EnsembleConfig(ensemble="wishart", rows=5, cols=3, seed=seed)
+        cfg = EnsembleConfig(ensemble="wishart", rows=5, cols=3)
         with pytest.raises(ValueError, match="rep_index"):
-            rmt.wishart_spectrum(5, 3, 0, seed)
+            rmt.sample_spectrum(cfg, seed)
+
+    @pytest.mark.parametrize("field, value", [
+        ("size", 10.5), ("size", 10.0), ("reps", 2.5), ("top_k", 1.0),
+        ("rows", 30.5), ("cols", 40.0), ("reps", "3"),
+    ])
+    def test_counts_are_integers(self, field, value):
+        # a float count used to pass here and break collect later
+        shape = {"size": 10} if field == "size" else {"rows": 30, "cols": 40}
+        kind = "goe" if field == "size" else "wishart"
+        with pytest.raises(ValueError, match=field):
+            EnsembleConfig(ensemble=kind, **{**shape, field: value})
 
     def test_wishart_shape(self):
         with pytest.raises(ValueError, match="Wishart"):
@@ -119,6 +131,20 @@ class TestSampling:
             rmt.sample_spectrum(cfg, 3)
         with pytest.raises(ValueError):
             rmt.sample_spectrum(cfg, -1)
+
+    @pytest.mark.parametrize("cfg", [
+        EnsembleConfig(ensemble="goe", size=10, reps=3, seed=1),
+        EnsembleConfig(ensemble="gue", size=10, reps=3, seed=1),
+        EnsembleConfig(ensemble="gse", size=10, reps=3, seed=1),
+        EnsembleConfig(ensemble="wishart", rows=10, cols=6, reps=3, seed=1),
+    ], ids=lambda cfg: cfg.ensemble)
+    @pytest.mark.parametrize("rep_index", [
+        1.5, 1.0, np.float64(1.0), "1", -1, 3, 2 ** 64,
+    ], ids=["1.5", "1.0", "float64", "str", "-1", "reps", "2**64"])
+    def test_rep_index_is_checked_on_every_ensemble(self, cfg, rep_index):
+        # a float index used to draw another rep on the Gaussian path
+        with pytest.raises(ValueError, match="rep_index"):
+            rmt.sample_spectrum(cfg, rep_index)
 
     def test_top_k_descending(self):
         cfg = EnsembleConfig(ensemble="gue", size=12, reps=1, seed=2,
@@ -201,23 +227,32 @@ class TestSampling:
         assert [exc.rep_index for exc in failures] == [0, 1, 2]
 
     def test_wishart_gram_routes_agree(self):
-        out = rmt.wishart_spectrum(5, 12, seed=3, rep_index=0, top_k=3)
-        x = rmt._rng(3, 0).standard_normal((5, 12))
-        big = np.linalg.eigvalsh(x.T @ x)[::-1][:3]
-        np.testing.assert_allclose(out.raw_top, big, rtol=1e-10)
+        # the sampler diagonalizes the smaller Gram matrix, X X^t when
+        # p > n and X^t X otherwise; the larger one has the same top
+        for n, p in ((5, 12), (12, 5)):
+            cfg = EnsembleConfig(ensemble="wishart", rows=n, cols=p, seed=3,
+                                 top_k=3)
+            out = rmt.sample_spectrum(cfg, 0)
+            x = rmt._rng(3, 0).standard_normal((n, p))
+            larger = x.T @ x if p > n else x @ x.T
+            assert larger.shape == (max(n, p),) * 2
+            want = np.linalg.eigvalsh(larger)[::-1][:3]
+            np.testing.assert_allclose(out.raw_top, want, rtol=1e-10)
 
     def test_wishart_chi_square_column(self):
         # p = 1 reduces to a chi-square with n degrees of freedom
-        vals = np.array([rmt.wishart_spectrum(50, 1, 8, i).raw_top[0]
+        cfg = EnsembleConfig(ensemble="wishart", rows=50, cols=1, seed=8,
+                             reps=2000)
+        vals = np.array([rmt.sample_spectrum(cfg, i).raw_top[0]
                          for i in range(2000)])
         assert vals.mean() == pytest.approx(50.0, abs=1.0)
         assert np.all(vals > 0.0)
 
     def test_wishart_validation(self):
         with pytest.raises(ValueError):
-            rmt.wishart_spectrum(1, 5, 0, 0)
+            EnsembleConfig(ensemble="wishart", rows=1, cols=5)
         with pytest.raises(ValueError):
-            rmt.wishart_spectrum(5, 1, 0, 0, top_k=2)
+            EnsembleConfig(ensemble="wishart", rows=5, cols=1, top_k=2)
 
     def test_johnstone_center(self):
         mu, sigma = rmt.johnstone_center(100, 100)

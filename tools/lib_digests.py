@@ -41,7 +41,9 @@ lambda = 1 and 0.5, and ``oracle.nystrom_d4``, at those six points
 with n = 200; the samples of ``rmt.collect`` for the five Monte-Carlo
 job classes of the benchmark (GOE 400, GUE 200, GSE 100, Wishart
 100 x 400 and 100 x 100; 8 reps) at top_k 1 and 4 and seeds 1-3, each
-labelled with its shape and the indices of its failed reps.
+labelled with its shape and the indices of its failed reps, and per job
+class the unscaled top eigenvalues of ``rmt.sample_spectrum`` for the
+8 reps at top_k 4 and seed 3.
 """
 
 import dataclasses
@@ -159,6 +161,11 @@ def main(argv):
                 line(f"collect {ens} size={cfg.size} rows={rows} "
                      f"top_k={top_k} seed={seed} shape={samples.shape} "
                      f"failed={failed}", samples)
+        # the unscaled eigenvalues, so that a change of the draw or of
+        # the Gram route shows apart from a change of the rescaling
+        raw = [rmt.sample_spectrum(cfg, i).raw_top for i in range(cfg.reps)]
+        line(f"raw_top {ens} size={cfg.size} rows={rows} top_k={cfg.top_k} "
+             f"seed={cfg.seed} reps={cfg.reps}", np.array(raw))
 
 
 if __name__ == "__main__":
