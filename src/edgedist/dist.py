@@ -16,12 +16,14 @@ so F(s, m) = sum_{k=0}^{m-1} (-1)^k c_k.
 The density f = dF/ds telescopes the same way from the s-derivatives of
 the c_k.  Every determinant is built from exponentials exp(L), L linear
 in I and J, and d/ds exp(L) = L' exp(L) with I' from the solve and
-J' = -q; so f is exact to the jets, point by point, on any grid.
+J' = -q; so f is exact to the jets, point by point, on any grid.  The
+moments integrate that f by the trapezoid rule on the table's grid.
 """
 
 import dataclasses
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -30,6 +32,13 @@ from .jet import jet_div, jet_exp, jet_mul, jet_sqrt
 # below this the jet square root is dominated by roundoff of the
 # underflowing constant term; the distribution value there is 0 anyway
 _UNDERFLOW = 1e-280
+
+
+def _integer(name, value):
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _default_grid():
@@ -43,9 +52,11 @@ class DistRequest:
     s_grid: np.ndarray = None
 
     def __post_init__(self):
+        for name in ("beta", "m"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.beta not in (1, 2, 4):
             raise ValueError("beta must be one of 1, 2, 4")
-        if not (isinstance(self.m, int) and self.m >= 1):
+        if self.m < 1:
             raise ValueError("m must be an integer >= 1")
         grid = self.s_grid if self.s_grid is not None else _default_grid()
         grid = np.asarray(grid, dtype=float)
@@ -186,54 +197,13 @@ def cdf(req, sol):
                      beta=req.beta, m=req.m)
 
 
-def _div(a, b):
-    # a / b, and 0 where b is 0
-    return np.true_divide(a, b, out=np.zeros_like(b), where=b != 0)
-
-
-def _simpson(x):
-    """The rule y -> ``scipy.integrate.simpson(y, x=x)`` for 1-d y on
-    the 1-d grid x, with scipy 1.17's operations in the same order, so
-    the value is bit-identical.  The weights, which depend on x alone,
-    are computed once.
-
-    Simpson's rule for non-uniform spacing on the pairs of intervals
-    from the left; for an even point count, the last interval gets
-    Cartwright's correction (the trapezoid for two points).
-    """
-    n = x.size
-    h = np.diff(x)
-    if n == 2:
-        half = 0.5 * h[-1]
-        return lambda y: 0.0 + half * (y[-1] + y[-2])
-    stop = n - 2 if n % 2 else n - 3
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum = h0 + h1
-    h0divh1 = _div(h0, h1)
-    sixth = hsum / 6.0
-    w0 = 2.0 - _div(1.0, h0divh1)
-    w1 = hsum * _div(hsum, h0 * h1)
-    w2 = 2.0 - h0divh1
-    if n % 2 == 0:
-        a, b = h[-2:-1], h[-1:]
-        alpha = _div(2 * b ** 2 + 3 * a * b, 6 * (b + a))
-        beta = _div(b ** 2 + 3.0 * a * b, 6 * a)
-        eta = _div(b ** 3, 6 * a * (a + b))
-
-    def rule(y):
-        result = np.sum(sixth * (y[0:stop:2] * w0 + y[1:stop + 1:2] * w1
-                                 + y[2:stop + 2:2] * w2))
-        if n % 2:
-            return result
-        result += (alpha * y[-1] + beta * y[-2] - eta * y[-3])[0]
-        # scipy adds its 0.0 start last, which turns -0.0 into 0.0
-        return result + 0.0
-
-    return rule
-
-
 def moments(table):
     """First four moments (mean, sd, skewness, excess kurtosis) of a table.
+
+    Each integral is the trapezoid rule on the table's grid.  f is
+    analytic and decays faster than exponentially at both ends, so on a
+    uniform grid the rule converges exponentially (Trefethen and
+    Weideman 2014); on a non-uniform grid it is second order.
 
     Requires the grid to carry essentially all mass:
     F(s_min) < 1e-8 and F(s_max) > 1 - 1e-8.
@@ -243,14 +213,21 @@ def moments(table):
         raise ValueError(
             f"truncation error: mass outside grid, F(s_min) = {F[0]:.3e}, "
             f"1 - F(s_max) = {1.0 - F[-1]:.3e}")
-    simpson = _simpson(s)
-    m0 = simpson(f)
-    mean = simpson(s * f) / m0
+    h = np.diff(s)
+    w = np.concatenate([h[:1], h[:-1] + h[1:], h[-1:]]) / 2.0
+
+    def integral(y):
+        # np.sum, not a BLAS dot: its bits do not depend on the BLAS
+        # build or on alignment
+        return float(np.sum(w * y))
+
+    m0 = integral(f)
+    mean = integral(s * f) / m0
     c = s - mean
-    var = simpson(c * c * f) / m0
+    var = integral(c * c * f) / m0
     sd = math.sqrt(var)
-    g1 = simpson(c ** 3 * f) / (m0 * sd ** 3)
-    g2 = simpson(c ** 4 * f) / (m0 * sd ** 4) - 3.0
+    g1 = integral(c ** 3 * f) / (m0 * sd ** 3)
+    g2 = integral(c ** 4 * f) / (m0 * sd ** 4) - 3.0
     return SummaryStats(mean=mean, sd=sd, skewness=g1, kurtosis=g2)
 
 

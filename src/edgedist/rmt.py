@@ -11,13 +11,12 @@ scale of the limiting laws computed by the dist module.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .dist import SummaryStats
+from .dist import SummaryStats, _integer
 
 _ENSEMBLES = ("goe", "gue", "gse", "wishart")
 
@@ -41,7 +40,8 @@ class EnsembleConfig:
     cols: int = 0  # Wishart dimension p
 
     def __post_init__(self):
-        kind = self.ensemble.lower()
+        kind = (self.ensemble.lower() if isinstance(self.ensemble, str)
+                else None)
         if kind not in _ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         object.__setattr__(self, "ensemble", kind)
@@ -80,13 +80,6 @@ class PercentileReport:
     percentiles: tuple
     ordinates: tuple
     proportions: tuple
-
-
-def _integer(name, value):
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_key(name, value):

@@ -13,8 +13,9 @@ from edgedist.rmt import EnsembleConfig
 
 class TestConfig:
     def test_unknown_ensemble(self):
-        with pytest.raises(ValueError, match="unknown ensemble"):
-            EnsembleConfig(ensemble="circular", size=10)
+        for ensemble in ("circular", None, 3):
+            with pytest.raises(ValueError, match="unknown ensemble"):
+                EnsembleConfig(ensemble=ensemble, size=10)
 
     def test_case_folded(self):
         assert EnsembleConfig(ensemble="GOE", size=10).ensemble == "goe"

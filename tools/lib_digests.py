@@ -9,10 +9,15 @@ The raw bytes count the sign of a zero, so -0.0 and 0.0 differ.  An
 array over s points prints as two lines, labelled ``s<=6`` and ``s>6``
 (the second only if it has points), so that values from the Airy tails
 beyond x_right = 6 show apart from those of the solve.  The
-moments of a (beta, m) print as the repr of their floats, first on the
-1801-point grid, then on the 2001-point grid:
+moments of a (beta, m) print as the repr of their floats, on the
+1801-point grid, the 2001-point grid and the 201-point grid of
+[-13, 12], so that the last two show how little the moments depend on
+the grid:
 
-    moments beta=B m=M (mean, sd, skewness, kurtosis) (mean, ...)
+    moments beta=B m=M (mean, sd, skewness, kurtosis) (mean, ...) (...)
+
+A grid on which ``dist.moments`` raises prints ``ValueError(message)``
+in place of the tuple.
 
 Usage:
 
@@ -28,8 +33,8 @@ The set: the jets of q, q', I, I', J and the diagnostics (without the
 cache state) of the solves (x_left, jet order) = (-13.5, 4), (-10, 0)
 and (-20.25, 1), on 4,004 points of [x_left, 12] plus 6, 6 + 1e-9 and
 12; F and f of all 12 (beta, m) pairs from the (-13.5, 4) solve on the
-1201-, 1801-, 191-, 451- and 2001-point grids, and ``dist.moments`` of
-the 1801- and 2001-point tables; ``specfun.airy_tail`` on [6, 60],
+1201-, 1801-, 191-, 451-, 2001- and 201-point grids, and
+``dist.moments`` of the 1801-, 2001- and 201-point tables; ``specfun.airy_tail`` on [6, 60],
 ``specfun.airy`` on 12,001 points of [-60, 60],
 ``specfun.airy_kernel`` on a grid of 60 nodes of [-10, 12] and
 ``painleve.boundary_jet`` on 561 points of [4, 60];
@@ -60,7 +65,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 SOLVES = ((-13.5, 4), (-10.0, 0), (-20.25, 1))
 GRIDS = {"table": (-8.0, 4.0, 1201), "moments": (-13.0, 9.5, 1801),
          "interlace": (-13.0, 6.0, 191), "mc": (-13.0, 9.5, 451),
-         "cli-moments": (-13.0, 12.0, 2001)}
+         "cli-moments": (-13.0, 12.0, 2001),
+         "coarse-moments": (-13.0, 12.0, 201)}
 ORACLE_POINTS = (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 7.5)
 # (ensemble, size, rows, cols)
 X_RIGHT = 6.0
@@ -118,12 +124,19 @@ def main(argv):
                 tables[grid_name, beta, m] = t
                 split_line(f"F {grid_name} beta={beta} m={m}", grid, t.F)
                 split_line(f"f {grid_name} beta={beta} m={m}", grid, t.f)
+    def stats(table):
+        # the (4, 4) density is wrong in the left tail (ROADMAP item 2),
+        # and on a coarse grid its variance can come out negative
+        try:
+            return tuple(map(float, dataclasses.astuple(dist.moments(table))))
+        except ValueError as e:
+            return f"ValueError({e})"
+
     for beta in (1, 2, 4):
         for m in range(1, 5):
-            stats = [tuple(map(float, dataclasses.astuple(
-                dist.moments(tables[grid_name, beta, m]))))
-                for grid_name in ("moments", "cli-moments")]
-            print(f"moments beta={beta} m={m}", *stats, flush=True)
+            print(f"moments beta={beta} m={m}",
+                  *(stats(tables[grid_name, beta, m]) for grid_name in
+                    ("moments", "cli-moments", "coarse-moments")), flush=True)
 
     for name, a in zip(("Ai", "Ai'", "T", "V", "W"),
                        specfun.airy_tail(np.linspace(6.0, 60.0, 5401))):
