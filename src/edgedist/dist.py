@@ -206,7 +206,9 @@ def moments(table):
     Weideman 2014); on a non-uniform grid it is second order.
 
     Requires the grid to carry essentially all mass:
-    F(s_min) < 1e-8 and F(s_max) > 1 - 1e-8.
+    F(s_min) < 1e-8 and F(s_max) > 1 - 1e-8.  A variance that is not
+    positive and finite, as from a density negative on the grid, is a
+    ``ValueError``.
     """
     F, f, s = table.F, table.f, table.s
     if not (F[0] < 1e-8 and F[-1] > 1.0 - 1e-8):
@@ -225,6 +227,10 @@ def moments(table):
     mean = integral(s * f) / m0
     c = s - mean
     var = integral(c * c * f) / m0
+    if not 0.0 < var < math.inf:
+        raise ValueError(
+            f"moments of beta={table.beta}, m={table.m}: the variance is "
+            f"{var!r}; the density is negative on the grid")
     sd = math.sqrt(var)
     g1 = integral(c ** 3 * f) / (m0 * sd ** 3)
     g2 = integral(c ** 4 * f) / (m0 * sd ** 4) - 3.0

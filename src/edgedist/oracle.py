@@ -110,14 +110,6 @@ def _ferrari_spohn(s, n):
     return sq[:, None] * kern * sq[None, :]
 
 
-def _d4_lambda(s, lam, n):
-    # Ferrari-Spohn: sqrt(D4(s, lam)) is the mean of det(I - r K_1) and
-    # det(I + r K_1) with r = sqrt(lam)
-    a = math.sqrt(lam) * _ferrari_spohn(s, n)
-    eye = np.eye(a.shape[0])
-    return (0.5 * (_logdet(eye - a) + _logdet(eye + a))) ** 2
-
-
 def nystrom_d4(s, n=200):
     """det(I - K4) on (s, inf) + (s, inf); lambda fixed at 1.
 
@@ -127,4 +119,6 @@ def nystrom_d4(s, n=200):
     symmetric scalar kernel K_1(x, y) = Ai((x + y)/2)/2 on (s, inf).
     """
     _check_args(s, n)
-    return _d4_lambda(s, 1.0, n)
+    a = _ferrari_spohn(s, n)
+    eye = np.eye(a.shape[0])
+    return (0.5 * (_logdet(eye - a) + _logdet(eye + a))) ** 2

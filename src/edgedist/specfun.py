@@ -1,6 +1,6 @@
 """Airy functions, the Airy kernel, and Airy tail integrals.
 
-Double-precision Ai and Ai' on the working range [-60, 60], and the
+Double-precision Ai and Ai' on the working range [-14, 60], and the
 Airy kernel with a confluent branch near the diagonal.  The tail
 integrals serve the Painleve solution right of x_right = 6:
 ``airy_tail`` gives Ai, Ai' and the tails of Ai, Ai^2 and (u-x)Ai^2 on
@@ -9,7 +9,7 @@ right-end data.
 
 Everything but ``ai_tail`` evaluates committed Chebyshev series in
 numpy: ``airy`` reads ``airy_tail``'s rows right of 6 and, on its
-first call, imports the series of ``_airy_coeffs`` for the rest.
+first call left of 6, imports the pieces of ``_airy_coeffs`` there.
 ``scipy.special`` is imported only by the solves, for ``ai_tail`` and
 ``painleve._tail_state``.
 """
@@ -22,7 +22,7 @@ import numpy as np
 from . import _airy_tail_coeffs as _tail
 
 # working range of the evaluators
-XMIN = -60.0
+XMIN = -14.0
 XMAX = 60.0
 
 # below this separation the kernel difference quotient loses digits to
@@ -49,18 +49,17 @@ def _scalar(v):
 def airy(x):
     """Evaluate Ai(x) and Ai'(x).
 
-    Committed Chebyshev series: pieces of width 2 in x on [-8, 6), the
-    modulus and phase (DLMF 9.8) in 1/zeta, zeta = (2/3) |x|^{3/2},
-    left of -8, and ``airy_tail``'s rows right of 6, with its bits.
-    Left of 6 the error is within 6e-16 of the largest |Ai| (|Ai'|)
-    on each of [-60, -30], [-30, -10], [-10, -6], [-6, 0] and [0, 6];
-    right of 6 it is ``airy_tail``'s.  A point's value does not depend
-    on the other points asked for.
+    Committed Chebyshev series: pieces of width 2 in x on [-14, 6),
+    and ``airy_tail``'s rows right of 6, with its bits.  Left of 6 the
+    error is within 6e-16 of the largest |Ai| (|Ai'|) on each of
+    [-14, -10), [-10, -6), [-6, 0) and [0, 6); right of 6 it is
+    ``airy_tail``'s.  A point's value does not depend on the other
+    points asked for.
 
     Parameters
     ----------
     x : float or array_like
-        Coordinate(s) in the working range [-60, 60].
+        Coordinate(s) in the working range [-14, 60].
 
     Returns
     -------
@@ -70,11 +69,9 @@ def airy(x):
     xa = _check_range(x)
     flat = xa.ravel()
     out = np.empty((2, flat.size))
-    c = _series()[0]
-    left, right = flat < c.X_LO, flat >= c.X_HI
-    for region, evaluate in ((left, _modulus_phase),
-                             (right, lambda v: _tails(v, 2)),
-                             (~(left | right), _piecewise)):
+    right = flat >= _tail.X_LO
+    for region, evaluate in ((right, lambda v: _tails(v, 2)),
+                             (~right, _piecewise)):
         if region.any():
             out[:, region] = evaluate(flat[region])
     return AiryPair(*(_scalar(a.reshape(xa.shape)) for a in out))
@@ -192,18 +189,16 @@ def airy_tail(x):
 
 @functools.lru_cache(maxsize=None)
 def _series():
-    # ``_airy_coeffs``, imported on the first ``airy`` call, with its
-    # pieces as an array (terms, 2, pieces) and its oscillatory rows as
-    # (terms, 4)
+    # ``_airy_coeffs``, imported on the first ``airy`` call left of 6,
+    # with its pieces as an array (terms, 2, pieces)
     from . import _airy_coeffs as c
-    return (c, np.array(c.PIECES).transpose(2, 1, 0),
-            np.array(c.OSCILLATORY).T)
+    return c, np.array(c.PIECES).transpose(2, 1, 0)
 
 
 def _piecewise(x):
-    # (Ai, Ai') on [-8, 6): each point reads the series of its piece of
+    # (Ai, Ai') on [-14, 6): each point reads the series of its piece of
     # width 2, in t = x - (the piece's midpoint), by Clenshaw's recurrence
-    c, pieces, _ = _series()
+    c, pieces = _series()
     k = np.minimum((x - c.X_LO) // 2.0, pieces.shape[2] - 1).astype(int)
     t = x - (c.X_LO + 1.0 + 2.0 * k)
     two_t = 2.0 * t
@@ -211,49 +206,3 @@ def _piecewise(x):
     for cj in pieces[:0:-1]:
         b1, b2 = cj[:, k] + two_t * b1 - b2, b1
     return pieces[0][:, k] + t * b1 - b2
-
-
-def _modulus_phase(x):
-    # (Ai, Ai') left of -8 (DLMF 9.8): with u = -x, Ai(-u) = M cos theta
-    # and Ai'(-u) = N cos phi, where theta = pi/4 - zeta + a/zeta and
-    # phi = 3 pi/4 - zeta + b/zeta, and M u^{1/4}, N u^{-1/4}, a and b
-    # are series in 1/zeta.  zeta reaches 310 at u = 60, more than the
-    # phases' digits allow in one double, so with zeta = zh + zl each
-    # cosine is cos(zh + r) = cos zh cos r - sin zh sin r for the small r
-    c, _, oscillatory = _series()
-    u = -x
-    zh, zl = _zeta(u)
-    w = 1.0 / zh
-    m, n, a, b = np.polynomial.chebyshev.chebval((w - c.W_MID) / c.W_HALF,
-                                                 oscillatory)
-    r = zl - np.array([[0.25 * np.pi], [0.75 * np.pi]]) - np.stack([a, b]) * w
-    q = u ** 0.25
-    return (np.stack([m / q, n * q])
-            * (np.cos(zh) * np.cos(r) - np.sin(zh) * np.sin(r)))
-
-
-def _split(a):
-    # a = h + l with h on the upper 26 bits of the significand (Veltkamp)
-    c = 134217729.0 * a
-    h = c - (c - a)
-    return h, a - h
-
-
-def _two_product(a, b):
-    # a * b = p + e exactly (Dekker); numpy does not fuse multiply-adds
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _zeta(u):
-    # zeta = (2/3) u^{3/2} as zh + zl, to about 1e-30 relative: sqrt(u)
-    # is s + s_lo by one Newton step on the exact residual u - s^2, and
-    # 2/3 is its double plus 2^-53/3
-    s = np.sqrt(u)
-    ss, e = _two_product(s, s)
-    s_lo = ((u - ss) - e) / (2.0 * s)
-    p, e = _two_product(u, s)
-    zh, e2 = _two_product(2.0 / 3.0, p)
-    return zh, e2 + (2.0 / 3.0) * (e + u * s_lo) + 2.0 ** -53 / 3.0 * p

@@ -108,8 +108,16 @@ class TestJetIdentities:
         assert abs(c1 - fd) <= 1e-8
 
     def test_d4_derivative_against_quadrature(self, sol_default):
+        # Ferrari-Spohn: sqrt(D4(s, lam)) is the mean of
+        # det(I - sqrt(lam) K_1) and det(I + sqrt(lam) K_1)
+        def d4(lam):
+            a = math.sqrt(lam) * oracle._ferrari_spohn(-2.0, 120)
+            eye = np.eye(a.shape[0])
+            return (0.5 * (oracle._logdet(eye - a)
+                           + oracle._logdet(eye + a))) ** 2
+
         h = 1e-3
-        v = [oracle._d4_lambda(-2.0, 1.0 - k * h, 120) for k in range(3)]
+        v = [d4(1.0 - k * h) for k in range(3)]
         fd = (3.0 * v[0] - 4.0 * v[1] + v[2]) / (2.0 * h)
         r = dist._root_of(sol_default.jet_at(-2.0), 4)[0]
         c1 = jet.jet_mul(r, r)[1]
@@ -343,6 +351,29 @@ class TestMoments:
             sol_wide))) for n in (201, 2001))
         assert all(type(v) is float for v in coarse + fine)
         np.testing.assert_allclose(coarse, fine, rtol=0.0, atol=1e-9)
+
+    def test_non_positive_variance_is_named(self):
+        # a unit-mass density with negative lobes at +-5, whose second
+        # moment -0.1 * 26 outweighs the 1.1 of the rest: variance -1.5
+        # less the cut tails; and all its mass on one grid point: variance 0
+        s = np.linspace(-9.0, 9.0, 1801)
+        lobes = 0.5 * (stats.norm.pdf(s, loc=-5.0) + stats.norm.pdf(s, loc=5.0))
+        spike = np.where(s == s[900], 1.0 / (s[1] - s[0]), 0.0)
+        for f in (1.1 * stats.norm.pdf(s) - 0.1 * lobes, spike):
+            table = DistTable(s=s, F=stats.norm.cdf(s), f=f, beta=2, m=3)
+            with pytest.raises(ValueError, match=r"beta=2, m=3: the variance "
+                               r"is (-1\.49\d*|0\.0); the density is negative"):
+                dist.moments(table)
+
+    def test_beta4_m4_coarse_grid_variance_is_named(self, sol_wide):
+        # the (4, 4) density is wrong in the left tail (ROADMAP item 2):
+        # on 201 points of [-13, 12] its variance comes out negative
+        table = dist.cdf(DistRequest(beta=4, m=4,
+                                     s_grid=np.linspace(-13.0, 12.0, 201)),
+                         sol_wide)
+        with pytest.raises(ValueError, match=r"beta=4, m=4: the variance is "
+                           r"-.*density is negative on the grid"):
+            dist.moments(table)
 
     def test_truncation_rejected(self, sol_default):
         grid = np.linspace(-3.0, 1.0, 101)

@@ -55,8 +55,8 @@ def test_node_count_convergence():
     a = oracle.nystrom_d2(-4.0, n=150)
     b = oracle.nystrom_d2(-4.0, n=300)
     assert abs(a - b) <= 1e-9
-    c = oracle._d4_lambda(-1.0, 1.0, 100)
-    d = oracle._d4_lambda(-1.0, 1.0, 150)
+    c = oracle.nystrom_d4(-1.0, n=100)
+    d = oracle.nystrom_d4(-1.0, n=150)
     assert abs(c - d) <= 1e-9
 
 

@@ -431,7 +431,7 @@ def test_warm_cli_leaves_out_integrate_and_interpolate(tmp_path):
 
 
 def test_warm_oracle_and_airy_leave_out_special(tmp_path):
-    # Ai and Ai' are committed series on all of [-60, 60]: after a
+    # Ai and Ai' are committed series on all of [XMIN, 60]: after a
     # cache hit, the Nystrom oracle, the Airy kernel and the boundary
     # jets run on numpy alone; only a miss, which solves, loads
     # scipy.special
@@ -443,7 +443,7 @@ def test_warm_oracle_and_airy_leave_out_special(tmp_path):
             "if sys.argv[1:]:\n"
             "    oracle.nystrom_d2(-2.0, 1.0, 200)\n"
             "    oracle.nystrom_d4(-2.0, 200)\n"
-            "    x = np.linspace(-60.0, 60.0, 1201)\n"
+            "    x = np.linspace(specfun.XMIN, 60.0, 1201)\n"
             "    specfun.airy(x)\n"
             "    specfun.airy_kernel(x[:, None], x[None, :])\n"
             "    painleve.boundary_jet(np.linspace(4.0, 60.0, 57))\n"

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from edgedist import painleve, specfun
+from edgedist import _airy_coeffs, painleve, specfun
 
 AI0 = 0.3550280538878172
 AIP0 = -0.2588194037928068
@@ -38,8 +41,8 @@ def test_airy_equation_by_finite_difference():
 def test_airy_vectorized_matches_scalar():
     # points in each region of the series and at their joins, among
     # them the largest double below 6
-    xs = np.array([-60.0, -31.7, -8.0 - 1e-12, -8.0, -5.0, 0.0, 1.5,
-                   np.nextafter(6.0, 0.0), 6.0, 30.0, 60.0])
+    xs = np.array([specfun.XMIN, -12.3, -10.0 - 1e-12, -8.0 - 1e-12, -8.0,
+                   -5.0, 0.0, 1.5, np.nextafter(6.0, 0.0), 6.0, 30.0, 60.0])
     vec = specfun.airy(xs)
     grid = specfun.airy(xs.reshape(1, -1, 1))
     for i, x in enumerate(xs):
@@ -53,6 +56,34 @@ def test_airy_range_error():
         specfun.airy(61.0)
     with pytest.raises(ValueError, match="range"):
         specfun.airy(float("nan"))
+    # left of XMIN, the first piece's left end
+    for call in (specfun.airy, lambda x: specfun.airy_kernel(x, 0.0),
+                 lambda x: specfun.airy_kernel(0.0, np.array([1.0, x]))):
+        with pytest.raises(ValueError, match="range"):
+            call(-14.5)
+
+
+def test_xmin_is_the_first_piece():
+    # the pieces of width 2 start at XMIN
+    assert specfun.XMIN == _airy_coeffs.X_LO == -14.0
+
+
+def test_airy_right_of_6_leaves_the_pieces_unloaded():
+    # a call wholly right of 6 reads airy_tail's rows alone; the first
+    # call left of 6 imports the pieces
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specfun.__file__)))
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from edgedist import specfun\n"
+            "specfun.airy(np.linspace(6.0, 60.0, 55))\n"
+            "specfun.airy(7.5)\n"
+            "specfun.airy_kernel(6.0, 9.0)\n"
+            "print('edgedist._airy_coeffs' in sys.modules)\n"
+            "specfun.airy(5.0)\n"
+            "print('edgedist._airy_coeffs' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True, cwd=src)
+    assert out.stdout.split() == ["False", "True"]
 
 
 @given(st.floats(min_value=0.0, max_value=60.0))
@@ -140,11 +171,10 @@ def test_kernel_grid_equals_midpoint_form_everywhere():
     assert specfun.airy_kernel(x[-1], x[-1]) == want[-1, -1]
 
 
-# Ai and Ai' left of 6 against mpmath, on a grid that holds the joins
-# -8 and -6 of the series, in the bands [-60, -30], (-30, -10],
-# (-10, -6], (-6, 0] and (0, 6)
-AIRY_GRID = np.linspace(-60.0, 6.0, 661)[:-1]
-AIRY_BAND = np.searchsorted([-30.0, -10.0, -6.0, 0.0], AIRY_GRID)
+# Ai and Ai' left of 6 against mpmath, on a grid that holds every join
+# of the pieces, in the bands [-14, -10), [-10, -6), [-6, 0) and [0, 6)
+AIRY_GRID = np.linspace(specfun.XMIN, 6.0, 401)[:-1]
+AIRY_BAND = np.searchsorted([-10.0, -6.0, 0.0], AIRY_GRID, side="right")
 
 
 @pytest.fixture(scope="module")
@@ -157,13 +187,10 @@ def airy_reference():
 
 
 def test_airy_series_against_mpmath(airy_reference):
-    # max |error| / max |Ai| per band.  The series measure 3.1e-16 (Ai)
-    # and 6.0e-16 (Ai') at most; scipy.special.airy measures
-    # 5.0e-14, 2.0e-14, 3.5e-15, 1.5e-15, 1.6e-15 (Ai) and 6.8e-14,
-    # 1.9e-14, 3.6e-15, 1.7e-15, 3.4e-15 (Ai'), which no bound exceeds
+    # max |error| / max |Ai| per band.  The pieces measure 3.1e-16 (Ai)
+    # and 3.3e-16 (Ai') at most on 2,000 points of [-14, 6)
     for got, ref in zip(specfun.airy(AIRY_GRID), airy_reference):
-        for band, bound in enumerate((1.5e-15, 1.5e-15, 1.5e-15, 1e-15,
-                                      1e-15)):
+        for band, bound in enumerate((1.5e-15, 1.5e-15, 1e-15, 1e-15)):
             sel = AIRY_BAND == band
             err = np.abs(got[sel] - ref[sel]).max()
             assert err <= bound * np.abs(ref[sel]).max(), band

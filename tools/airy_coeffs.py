@@ -1,6 +1,6 @@
-"""Chebyshev coefficients of Ai and Ai' on [-60, 60] and of the Airy tails.
+"""Chebyshev coefficients of Ai and Ai' on [-14, 60] and of the Airy tails.
 
-Three kinds of series, each sampled with mpmath at 48 Chebyshev points
+Two kinds of series, each sampled with mpmath at 48 Chebyshev points
 of the first kind and truncated where the rest is below about 1e-18 of
 the function's size:
 
@@ -13,17 +13,8 @@ the function's size:
   are smooth functions of w = 1/zeta on [6, 60], where T and V are the
   integrals of (u - x) Ai(u)^2 and Ai(u)^2 over (x, infinity) and W
   that of Ai (DLMF 9.10); 20 coefficients each.
-- On [-8, 6), Ai and Ai' themselves, on seven pieces of width 2 in x;
-  24 coefficients each.
-- Left of -8, with u = -x and zeta = (2/3) u^{3/2}, the modulus and
-  phase of DLMF 9.8, Ai(-u) = M(u) cos theta(u) and
-  Ai'(-u) = N(u) cos phi(u), as
-
-      M u^{1/4},   N u^{-1/4},
-      zeta (theta + zeta - pi/4),   zeta (phi + zeta - 3 pi/4),
-
-  which are smooth functions of w = 1/zeta on (8, 60]; 16
-  coefficients each.
+- On [-14, 6), Ai and Ai' themselves, on ten pieces of width 2 in x;
+  24 coefficients each.  ``specfun.XMIN`` must equal PIECES_X[0].
 
 The script writes the coefficients as float reprs into the two package
 modules that ``specfun`` reads:
@@ -32,8 +23,8 @@ modules that ``specfun`` reads:
 
 It writes ``src/edgedist/_airy_tail_coeffs.py`` (the tails, which the
 served tables read) and ``src/edgedist/_airy_coeffs.py`` (Ai and Ai'
-left of 6, read on the first ``specfun.airy`` call) of the checkout
-that holds it, and a second run writes the same bytes.
+left of 6, read on the first ``specfun.airy`` call there) of the
+checkout that holds it, and a second run writes the same bytes.
 """
 
 import pathlib
@@ -45,13 +36,9 @@ NODES = 48
 TAIL_X = (6.0, 60.0)
 TAIL_TERMS = 20
 TAIL_NAMES = ("Ai", "Ai'", "T", "V", "W")
-PIECES_X = (-8.0, 6.0)
+PIECES_X = (-14.0, 6.0)
 PIECE_WIDTH = 2.0
 PIECE_TERMS = 24
-OSC_U = (8.0, 60.0)
-OSC_TERMS = 16
-OSC_NAMES = ("M u^(1/4)", "N u^(-1/4)", "zeta (theta + zeta - pi/4)",
-             "zeta (phi + zeta - 3 pi/4)")
 
 TAIL_HEADER = '''"""Chebyshev coefficients of the scaled Airy tails on [6, 60].
 
@@ -75,22 +62,13 @@ TAIL_ROWS = ("Ai e^zeta x^(1/4), Ai' e^zeta x^(-1/4), T e^(2 zeta) x^(3/2),\n"
 
 AIRY_HEADER = '''"""Chebyshev coefficients of Ai and Ai' left of 6.
 
-Generated by tools/airy_coeffs.py, which states the forms; do not edit.
-PIECES[k] holds the coefficients of T_0(t), T_1(t), ... of Ai and of
-Ai' on [X_LO + 2k, X_LO + 2k + 2], with t = x - (X_LO + 2k + 1).  Left
-of X_LO, with u = -x, zeta = (2/3) u^{{3/2}} and t = (1/zeta - W_MID) /
-W_HALF, which maps [U_LO, U_HI] onto [1, -1], row i of OSCILLATORY
-holds those of the i-th of M u^(1/4), N u^(-1/4), zeta (theta + zeta
-- pi/4) and zeta (phi + zeta - 3 pi/4), where Ai(-u) = M cos theta and
-Ai'(-u) = N cos phi (DLMF 9.8).
+Generated by tools/airy_coeffs.py; do not edit.  PIECES[k] holds the
+coefficients of T_0(t), T_1(t), ... of Ai and of Ai' on
+[X_LO + 2k, X_LO + 2k + 2], with t = x - (X_LO + 2k + 1).
 """
 
 X_LO = {x_lo!r}
 X_HI = {x_hi!r}
-U_LO = {u_lo!r}
-U_HI = {u_hi!r}
-W_MID = {w_mid!r}
-W_HALF = {w_half!r}
 
 PIECES = (
 '''
@@ -113,21 +91,6 @@ def scaled_tails(x):
     r = mp.root(x, 4)
     return (ai * e1 * r, aip * e1 / r, T * e2 * x * mp.sqrt(x),
             V * e2 * x, W * e1 * r * mp.sqrt(x))
-
-
-def modulus_phase(u):
-    """The four scaled moduli and phases at the mpf u > 0."""
-    z = zeta(u)
-    out = []
-    for d, shift in ((0, mp.pi / 4), (1, 3 * mp.pi / 4)):
-        a, b = mp.airyai(-u, d), mp.airybi(-u, d)
-        # the branch of the phase on which it tends to shift - zeta
-        g = mp.atan2(b, a) + z - shift
-        g -= 2 * mp.pi * mp.nint(g / (2 * mp.pi))
-        out.append((mp.sqrt(a * a + b * b) * mp.root(u, 4 * (1 - 2 * d)),
-                    z * g))
-    (m, a), (n, b) = out
-    return m, n, a, b
 
 
 def chebyshev(f, mid, half, terms):
@@ -175,10 +138,7 @@ def tail_module():
 
 
 def airy_module():
-    w_mid, w_half = w_interval(*OSC_U)
-    text = AIRY_HEADER.format(x_lo=PIECES_X[0], x_hi=PIECES_X[1],
-                              u_lo=OSC_U[0], u_hi=OSC_U[1], w_mid=w_mid,
-                              w_half=w_half)
+    text = AIRY_HEADER.format(x_lo=PIECES_X[0], x_hi=PIECES_X[1])
     lo = PIECES_X[0]
     while lo < PIECES_X[1]:
         ai, aip = chebyshev(lambda x: (mp.airyai(x), mp.airyai(x, 1)),
@@ -188,10 +148,6 @@ def airy_module():
                  f"    ({series(ai, '     ')},\n"
                  f"     {series(aip, '     ')}),\n")
         lo += PIECE_WIDTH
-    text += ")\n\nOSCILLATORY = (\n"
-    rows = chebyshev(of_w(modulus_phase), w_mid, w_half, OSC_TERMS)
-    for name, c in zip(OSC_NAMES, rows):
-        text += f"    # {name}\n    {series(c, '    ')},\n"
     return text + ")\n"
 
 

@@ -34,10 +34,12 @@ cache state) of the solves (x_left, jet order) = (-13.5, 4), (-10, 0)
 and (-20.25, 1), on 4,004 points of [x_left, 12] plus 6, 6 + 1e-9 and
 12; F and f of all 12 (beta, m) pairs from the (-13.5, 4) solve on the
 1201-, 1801-, 191-, 451-, 2001- and 201-point grids, and
-``dist.moments`` of the 1801-, 2001- and 201-point tables; ``specfun.airy_tail`` on [6, 60],
-``specfun.airy`` on 12,001 points of [-60, 60],
-``specfun.airy_kernel`` on a grid of 60 nodes of [-10, 12] and
-``painleve.boundary_jet`` on 561 points of [4, 60];
+``dist.moments`` of the 1801-, 2001- and 201-point tables;
+``specfun.airy_tail`` on [6, 60]; ``specfun.airy`` on 7,401 points
+of [-14, 60], as a line for x < -8 and one for x >= -8;
+``specfun.airy_kernel`` on a grid of 60 nodes of [-8, 12] and on one
+of 30 nodes of [-14, -8]; ``painleve.boundary_jet`` on 561 points of
+[4, 60];
 the solves' right-end data at x_right for jet orders 0-4 and for
 lambda = 0.5 (``painleve._tail_state``); the jets of the lambda = 0.5
 solution at the six points of ``verify --check oracle`` and at 7.5;
@@ -141,11 +143,14 @@ def main(argv):
     for name, a in zip(("Ai", "Ai'", "T", "V", "W"),
                        specfun.airy_tail(np.linspace(6.0, 60.0, 5401))):
         line(f"airy_tail {name}", a)
-    for name, a in zip(("Ai", "Ai'"), specfun.airy(np.linspace(-60.0, 60.0,
-                                                                12001))):
-        line(f"airy {name}", a)
-    x = np.linspace(-10.0, 12.0, 60)
-    line("airy_kernel", specfun.airy_kernel(x[:, None], x[None, :]))
+    x = np.linspace(-14.0, 60.0, 7401)
+    for name, a in zip(("Ai", "Ai'"), specfun.airy(x)):
+        line(f"airy {name} x<-8", a[x < -8.0])
+        line(f"airy {name} x>=-8", a[x >= -8.0])
+    for lo, hi, n in ((-8.0, 12.0, 60), (-14.0, -8.0, 30)):
+        x = np.linspace(lo, hi, n)
+        line(f"airy_kernel [{lo!r}, {hi!r}] n={n}",
+             specfun.airy_kernel(x[:, None], x[None, :]))
     line("boundary_jet", painleve.boundary_jet(np.linspace(4.0, 60.0, 561)))
     for order, lam in [(k, 1.0) for k in range(5)] + [(0, 0.5)]:
         data = painleve._tail_state(X_RIGHT,
