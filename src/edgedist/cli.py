@@ -29,6 +29,9 @@ _ENSEMBLE_BETA = {"goe": 1, "gue": 2, "gse": 4, "wishart": 1}
 _MOMENT_GRID = np.linspace(-13.0, 12.0, 2001)
 _MOMENT_X_LEFT = -13.5
 _TABLE_GRID = (-13.0, 6.0, 0.01)
+# the largest m served per beta: F_4(s, 4) from the solve's jets has a
+# negative density and falls below F_4(s, 3) (ROADMAP item 2)
+_MAX_M = {1: 4, 2: 4, 4: 3}
 # largest table grid: a mistyped --s-step (1e-8, say) is refused before
 # it exhausts memory; 190,001 points at m = 1..4 peak at about 360 MB
 _MAX_GRID_POINTS = 1_000_000
@@ -122,9 +125,19 @@ def _csv(columns, rows):
     return [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
 
 
+def _served_config(beta, s_min, m_max):
+    """``_solver_config``, for a request that ``_MAX_M`` serves."""
+    cfg = _solver_config(s_min, m_max)
+    if m_max > _MAX_M[beta]:
+        raise ValueError(f"beta = {beta}, m = {m_max} is not served: the "
+                         f"solve's F_{beta}(s, {m_max}) has a negative "
+                         f"density and falls below F_{beta}(s, {m_max - 1})")
+    return cfg
+
+
 def _tables(beta, ms, grid, s_min):
     """Solve once, then tabulate F_beta(s, m) on ``grid`` for each m."""
-    sol = painleve.solve(_solver_config(s_min, max(ms)))
+    sol = painleve.solve(_served_config(beta, s_min, max(ms)))
     return [dist.cdf(dist.DistRequest(beta=beta, m=m, s_grid=grid), sol)
             for m in ms]
 
@@ -212,7 +225,8 @@ def cmd_simulate(args):
     cfg = _ensemble_config(args)
     if args.percentiles:
         # the config _percentile_report will solve, checked before sampling
-        _solver_config(_MOMENT_X_LEFT, cfg.top_k)
+        _served_config(_ENSEMBLE_BETA[cfg.ensemble], _MOMENT_X_LEFT,
+                       cfg.top_k)
     samples, failures = rmt.collect(cfg)
     if len(failures) > 0.001 * cfg.reps:
         first = failures[0]
@@ -239,12 +253,6 @@ def cmd_simulate(args):
         lines += ["# percentile report"] + report
     _write(args, doc, lines)
     return 0
-
-
-def cmd_wishart(args):
-    args.ensemble = "wishart"
-    args.n = None
-    return cmd_simulate(args)
 
 
 def _read_samples_csv(path):
@@ -407,7 +415,7 @@ def build_parser():
 
     sp = sub.add_parser("wishart", help="Wishart sampling shortcut")
     add_sim_flags(sp, with_ensemble=False)
-    sp.set_defaults(func=cmd_wishart)
+    sp.set_defaults(func=cmd_simulate, ensemble="wishart", n=None)
 
     sp = sub.add_parser("percentiles",
                         help="percentile report for an existing sample CSV")

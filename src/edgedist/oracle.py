@@ -1,21 +1,22 @@
 """Fredholm determinants by Nystrom quadrature.
 
-Independent of the ODE route: the operators are discretized on
-Gauss-Legendre nodes mapped to (s, inf) and the determinant is taken of
-the resulting finite matrix.  D2 uses the Airy kernel; D4 uses the
-Ferrari-Spohn identity, which writes sqrt(D4) as the mean of
-det(I - K_1) and det(I + K_1) with the scalar kernel
+Independent of the ODE route: both operators are discretized on one
+Gauss-Legendre rule mapped to (s, inf), less its nodes past the Airy
+working range, and symmetrized by the square roots of its weights; the
+determinant is taken of the resulting finite matrix.  D2 uses the Airy
+kernel; D4 uses the Ferrari-Spohn identity, which writes sqrt(D4) as
+the mean of det(I - K_1) and det(I + K_1) with the scalar kernel
 K_1(x, y) = Ai((x + y)/2)/2.  Agreement with the Painleve closed forms
 is the main cross-validation of both implementations.
 """
 
 import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from . import specfun
+from .dist import _integer
 
 # scale of the rational map x = s + L u / (1 - u); nodes cluster near s
 # where the kernels live
@@ -23,49 +24,36 @@ _L = 10.0
 _MAX_NODES = 2000
 
 
-class QuadratureRule(NamedTuple):
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
-def build_rule(s, n=200):
-    """Gauss-Legendre rule pushed forward to (s, inf).
-
-    The weights absorb the Jacobian L/(1-u)^2 of the change of
-    variables, so sum(w * f(nodes)) approximates the integral over
-    (s, inf) directly.
-    """
-    offsets, weights = _unit_rule(n)
-    return QuadratureRule(nodes=s + offsets, weights=weights)
-
-
 @functools.lru_cache(maxsize=None)
 def _unit_rule(n):
-    # the s-independent parts of ``build_rule``, read-only: the offsets
-    # L u / (1 - u) of the nodes from s, and the weights
+    # the s-independent parts of ``_rule``, read-only: the offsets
+    # L u / (1 - u) of the Gauss-Legendre nodes from s, and the square
+    # roots of the weights, which absorb the Jacobian L/(1-u)^2
     u, w = np.polynomial.legendre.leggauss(n)
     u = 0.5 * (u + 1.0)
     w = 0.5 * w
     offsets = _L * u / (1.0 - u)
-    weights = w * _L / (1.0 - u) ** 2
+    roots = np.sqrt(w * _L / (1.0 - u) ** 2)
     offsets.setflags(write=False)
-    weights.setflags(write=False)
-    return offsets, weights
+    roots.setflags(write=False)
+    return offsets, roots
+
+
+def _rule(s, n):
+    # the nodes in (s, XMAX] and the square roots of their weights.
+    # Nodes past the Airy working range would add identity rows and
+    # columns to I - K (the kernel underflowed long before x = 60)
+    offsets, roots = _unit_rule(n)
+    x = s + offsets
+    keep = x <= specfun.XMAX
+    return x[keep], roots[keep]
 
 
 def _check_args(s, n):
     if not -10.0 <= s <= 6.0:
         raise ValueError("s must lie in [-10, 6]")
-    if not 1 <= n <= _MAX_NODES:
+    if not 1 <= _integer("node count n", n) <= _MAX_NODES:
         raise ValueError(f"node count must be in [1, {_MAX_NODES}]")
-
-
-def _truncate(rule):
-    # nodes past the Airy working range contribute identity rows and
-    # columns to I - K (the kernel underflowed long before x = 60), so
-    # dropping them leaves the determinant unchanged
-    keep = rule.nodes <= specfun.XMAX
-    return rule.nodes[keep], rule.weights[keep]
 
 
 def _logdet(a):
@@ -90,9 +78,8 @@ def nystrom_d2(s, lam=1.0, n=200):
     _check_args(s, n)
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
-    x, w = _truncate(build_rule(s, n))
+    x, sq = _rule(s, n)
     kern = specfun.airy_kernel(x[:, None], x[None, :])
-    sq = np.sqrt(w)
     a = np.eye(x.size) - lam * (sq[:, None] * kern * sq[None, :])
     return _logdet(a)
 
@@ -102,8 +89,7 @@ def _ferrari_spohn(s, n):
     # K_1(x, y) = Ai((x + y)/2)/2; symmetric, and no range check on s.
     # Ai at the midpoints of the upper triangle only, mirrored: x + y
     # and y + x round alike, so the matrix has the bits of the full grid
-    x, w = _truncate(build_rule(s, n))
-    sq = np.sqrt(w)
+    x, sq = _rule(s, n)
     i, j = np.triu_indices(x.size)
     kern = np.empty((x.size, x.size))
     kern[i, j] = kern[j, i] = 0.5 * specfun.airy(0.5 * (x[i] + x[j])).ai

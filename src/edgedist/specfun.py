@@ -7,9 +7,9 @@ integrals serve the Painleve solution right of x_right = 6:
 [6, 60], and ``ai_tail`` integrates Ai from K_{1/3}, for the solves'
 right-end data.
 
-Everything but ``ai_tail`` evaluates committed Chebyshev series in
-numpy: ``airy`` reads ``airy_tail``'s rows right of 6 and, on its
-first call left of 6, imports the pieces of ``_airy_coeffs`` there.
+Everything but ``ai_tail`` sums committed Chebyshev series by one
+Clenshaw loop: ``airy`` reads ``airy_tail``'s rows right of 6 and, on
+its first call left of 6, imports the pieces of ``_airy_coeffs`` there.
 ``scipy.special`` is imported only by the solves, for ``ai_tail`` and
 ``painleve._tail_state``.
 """
@@ -145,9 +145,17 @@ def ai_tail(x):
     return _scalar(out.reshape(xa.shape))
 
 
-# the series in 1/zeta, columns Ai, Ai', T, V, W, and each tail's
-# power of x in its scaling
-_TAIL_COEFFS = np.array(_tail.COEFFS).T
+def _clenshaw(t, terms):
+    # numpy chebval's sum_j c_j T_j(t); ``terms`` iterates c_j, last first
+    c1, c0, two_t = next(terms), next(terms), 2.0 * t
+    for cj in terms:
+        c0, c1 = cj - c1, c0 + c1 * two_t
+    return c0 + c1 * t
+
+
+# the series in 1/zeta, last term first, columns Ai, Ai', T, V, W,
+# and each tail's power of x in its scaling
+_TAIL_COEFFS = np.array(_tail.COEFFS).T[::-1]
 _TAIL_POWERS = np.array([0.25, -0.25, 1.5, 1.0, 0.75])
 
 
@@ -156,7 +164,8 @@ def _scaled_tails(x, rows=5):
     # [6, 60], shape (rows,) + x.shape, and zeta = (2/3) x^{3/2}
     zeta = (2.0 / 3.0) * x * np.sqrt(x)
     t = (1.0 / zeta - _tail.W_MID) / _tail.W_HALF
-    return np.polynomial.chebyshev.chebval(t, _TAIL_COEFFS[:, :rows]), zeta
+    coeffs = _TAIL_COEFFS[:, :rows].reshape((-1, rows) + (1,) * x.ndim)
+    return _clenshaw(t, iter(coeffs)), zeta
 
 
 def _tails(x, rows=5):
@@ -197,12 +206,8 @@ def _series():
 
 def _piecewise(x):
     # (Ai, Ai') on [-14, 6): each point reads the series of its piece of
-    # width 2, in t = x - (the piece's midpoint), by Clenshaw's recurrence
+    # width 2 in t = x - (the piece's midpoint), gathered term by term
     c, pieces = _series()
     k = np.minimum((x - c.X_LO) // 2.0, pieces.shape[2] - 1).astype(int)
     t = x - (c.X_LO + 1.0 + 2.0 * k)
-    two_t = 2.0 * t
-    b1 = b2 = 0.0
-    for cj in pieces[:0:-1]:
-        b1, b2 = cj[:, k] + two_t * b1 - b2, b1
-    return pieces[0][:, k] + t * b1 - b2
+    return _clenshaw(t, (cj[:, k] for cj in pieces[::-1]))

@@ -10,9 +10,14 @@ import sys
 import numpy as np
 import pytest
 
-from edgedist import __version__, cli, painleve, rmt
+from edgedist import __version__, cli, dist, painleve, rmt
 
 D2_AT_M2 = 4.132241425051321e-01
+# the CLI's refusal of F_4(s, 4), whose table from the jets is wrong
+# left of about -6 (ROADMAP item 2)
+REFUSED_4_4 = ("error: beta = 4, m = 4 is not served: the solve's "
+               "F_4(s, 4) has a negative density and falls below "
+               "F_4(s, 3)\n")
 
 
 def _no_solve(config=None):
@@ -200,6 +205,71 @@ class TestArgumentErrors:
         with pytest.raises(AssertionError, match="solved before"):
             cli.main(["table", "--beta", "2", "--s-min", "0", "--s-max",
                       "1", "--s-step", "1.000001e-6"])
+
+    def test_table_refuses_beta4_m4(self, capsys, monkeypatch):
+        # refused before any solve, alone or in a list; m = 4 at beta 1
+        # and 2 is served
+        monkeypatch.setattr(painleve, "solve", _no_solve)
+        for argv in (["table", "--beta", "4", "--m", "4", "--s", "-9"],
+                     ["table", "--beta", "4", "--m", "1,2,3,4",
+                      "--tw-convention", "--json"]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr() == ("", REFUSED_4_4)
+        for beta in ("1", "2"):
+            with pytest.raises(AssertionError, match="solved before"):
+                cli.main(["table", "--beta", beta, "--m", "4", "--s", "-9"])
+
+    def test_moments_refuse_beta4_m4(self, capsys, monkeypatch):
+        monkeypatch.setattr(painleve, "solve", _no_solve)
+        for m in ("4", "1,2,3,4"):
+            assert cli.main(["moments", "--beta", "4", "--m", m]) == 2
+            assert capsys.readouterr() == ("", REFUSED_4_4)
+        with pytest.raises(AssertionError, match="solved before"):
+            cli.main(["moments", "--beta", "4", "--m", "1,2,3"])
+
+    def test_gse_top_4_report_refused(self, capsys, monkeypatch):
+        # refused before sampling; without --percentiles, or with top
+        # k 3, the same request is sampled
+        def collect(cfg):
+            raise AssertionError("sampled before top k was checked")
+        monkeypatch.setattr(rmt, "collect", collect)
+        argv = ["simulate", "--ensemble", "gse", "--n", "20", "--reps",
+                "20", "--top-k", "4"]
+        assert cli.main([*argv, "--percentiles", "0.5"]) == 2
+        assert capsys.readouterr() == ("", REFUSED_4_4)
+        for served in (argv, [*argv[:-1], "3", "--percentiles", "0.5"]):
+            with pytest.raises(AssertionError, match="sampled"):
+                cli.main(served)
+
+    def test_percentiles_refuse_beta4_k4(self, capsys, monkeypatch,
+                                         tmp_path):
+        # a file that holds k = 4 is read against F_4(s, 4) at beta 4
+        monkeypatch.setattr(painleve, "solve", _no_solve)
+        path = tmp_path / "top4.csv"
+        path.write_text("".join(f"{rep},{k},{-1.5 * k - 0.1 * rep}\n"
+                                for rep in range(3) for k in range(1, 5)))
+        argv = ["percentiles", "--input", str(path), "--percentiles", "0.5"]
+        assert cli.main([*argv, "--beta", "4"]) == 2
+        assert capsys.readouterr() == ("", REFUSED_4_4)
+        with pytest.raises(AssertionError, match="solved before"):
+            cli.main([*argv, "--beta", "1"])
+
+
+def test_served_pairs_are_the_sound_ones(sol_wide):
+    # the capability table is the evidence: on the CLI's moment grid,
+    # from the same solve, every pair it serves has f >= -1e-10, F
+    # nondecreasing in s and F(s, m) >= F(s, m - 1) within 1e-10 (the
+    # worst measures 5.8e-14); every pair with m <= 4 that it refuses
+    # breaks one of these.  Serving (4, 4) again needs a new route
+    for beta in (1, 2, 4):
+        below = np.zeros_like(cli._MOMENT_GRID)
+        for m in range(1, 5):
+            t = dist.cdf(dist.DistRequest(beta=beta, m=m,
+                                          s_grid=cli._MOMENT_GRID), sol_wide)
+            sound = (t.f.min() >= -1e-10 and np.diff(t.F).min() >= -1e-10
+                     and (t.F - below).min() >= -1e-10)
+            assert sound == (m <= cli._MAX_M[beta]), (beta, m)
+            below = t.F
 
 
 @pytest.mark.parametrize("argv, x_left, jet_order", [

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from edgedist import dist, oracle
+from edgedist import dist, oracle, specfun
 from test_acceptance import BETA1_MOMENTS
 
 # values fixed by earlier runs of this module at n = 200; guards against
@@ -13,11 +13,17 @@ D4_AT_M2 = 7.927027952882469e-01
 
 
 def test_rule_properties():
-    rule = oracle.build_rule(-2.0, n=64)
-    assert rule.nodes.shape == (64,) and rule.weights.shape == (64,)
-    assert np.all(rule.nodes > -2.0)
-    assert np.all(np.diff(rule.nodes) > 0.0)
-    assert np.all(rule.weights > 0.0)
+    # ascending nodes in (s, XMAX] with positive root weights: the
+    # 64-point rule less exactly its nodes past XMAX
+    x, roots = oracle._rule(-2.0, 64)
+    offsets, _ = oracle._unit_rule(64)
+    full = -2.0 + offsets
+    assert x.shape == roots.shape and 0 < x.size < 64
+    assert np.array_equal(x, full[:x.size])
+    assert np.all(full[x.size:] > specfun.XMAX)
+    assert np.all(x > -2.0) and np.all(x <= specfun.XMAX)
+    assert np.all(np.diff(x) > 0.0)
+    assert np.all(roots > 0.0)
 
 
 def test_argument_checks():
@@ -33,6 +39,14 @@ def test_argument_checks():
         oracle.nystrom_d2(-2.0, lam=-0.1)
     with pytest.raises(ValueError):
         oracle.nystrom_d4(-2.0, n=0)
+    # a float count is refused by name, not by numpy inside leggauss
+    for n in (200.0, 150.5):
+        with pytest.raises(ValueError, match="node count n must be an "
+                                             "integer"):
+            oracle.nystrom_d2(-2.0, 1.0, n)
+        with pytest.raises(ValueError, match="node count n must be an "
+                                             "integer"):
+            oracle.nystrom_d4(-2.0, n)
 
 
 def test_lambda_zero_is_one():

@@ -1,4 +1,4 @@
-"""SHA-256 digests of the CLI's output on a fixed set of 75 commands.
+"""SHA-256 digests of the CLI's output on a fixed set of 77 commands.
 
 Each command runs as a fresh ``python -m edgedist.cli`` process from
 the ``src/`` of the checkout that holds this script, and prints one
@@ -22,7 +22,11 @@ beta 1, 2, 4 and m = 1, 2, 3, 1..4, a wide grid per beta and
 ``--tw-convention``; ``moments`` per beta at m = 1, 1..2, 1..4 and as
 JSON; the four ``verify`` checks as CSV and JSON; ``simulate`` (GOE,
 GUE, GSE) and ``wishart`` with ``--percentiles``; ``percentiles`` at
-0.5, 0.9, 0 and 1; six usage errors, which exit 2.
+0.5, 0.9, 0 and 1; eight usage errors, which exit 2.  The last two
+ask for F_4(s, 4), which the CLI refuses: a GSE ``--top-k 4``
+percentile report and ``table --beta 4 --m 4 --s -9``.  The ``table``
+and ``moments`` commands above whose m list holds 4 at beta 4 exit 2
+for the same reason.
 """
 
 import hashlib
@@ -69,7 +73,10 @@ def commands():
              "table --beta 2 --s-min 1 --s-max 0",
              "table --beta 1 --tw-convention",
              "moments --beta 2 --m 0",
-             "simulate --ensemble goe --n 50 --reps 20 --percentiles nan"]
+             "simulate --ensemble goe --n 50 --reps 20 --percentiles nan",
+             "simulate --ensemble gse --n 20 --reps 20 --seed 7 --top-k 4 "
+             "--percentiles 0.5",
+             "table --beta 4 --m 4 --s -9"]
     return cmds
 
 
