@@ -69,24 +69,6 @@ def _add_output_flags(sp):
                     help="emit one JSON document instead of CSV")
 
 
-def _solver_config(s_min, m_max):
-    """The solve that serves F(s, m) for s >= s_min and m <= m_max.
-
-    x_left covers s_min.  F(s, 1) reads only the order-0 jets, which are
-    the same bits at every jet order, so m_max = 1 solves at order 0.
-    Every m >= 2 solves at the default order: the sweep's step control
-    acts on all orders at once, so one order for all of them keeps the
-    printed digits independent of the request.  ValueError for m_max
-    above that order.
-    """
-    d = painleve.SolverConfig()
-    if m_max > d.jet_order:
-        raise ValueError(f"m = {m_max} exceeds the solver jet order "
-                         f"{d.jet_order}")
-    return painleve.SolverConfig(x_left=min(d.x_left, s_min),
-                                 jet_order=0 if m_max == 1 else d.jet_order)
-
-
 def _write(args, doc, lines):
     """Emit one result, to -o or stdout.
 
@@ -126,13 +108,25 @@ def _csv(columns, rows):
 
 
 def _served_config(beta, s_min, m_max):
-    """``_solver_config``, for a request that ``_MAX_M`` serves."""
-    cfg = _solver_config(s_min, m_max)
+    """The solve that serves F_beta(s, m) for s >= s_min and m <= m_max.
+
+    x_left covers s_min.  F(s, 1) reads only the order-0 jets, which are
+    the same bits at every jet order, so m_max = 1 solves at order 0.
+    Every m >= 2 solves at the default order: the sweep's step control
+    acts on all orders at once, so one order for all of them keeps the
+    printed digits independent of the request.  ValueError for m_max
+    above that order, then for m_max above ``_MAX_M[beta]``.
+    """
+    d = painleve.SolverConfig()
+    if m_max > d.jet_order:
+        raise ValueError(f"m = {m_max} exceeds the solver jet order "
+                         f"{d.jet_order}")
     if m_max > _MAX_M[beta]:
         raise ValueError(f"beta = {beta}, m = {m_max} is not served: the "
                          f"solve's F_{beta}(s, {m_max}) has a negative "
                          f"density and falls below F_{beta}(s, {m_max - 1})")
-    return cfg
+    return painleve.SolverConfig(x_left=min(d.x_left, s_min),
+                                 jet_order=0 if m_max == 1 else d.jet_order)
 
 
 def _tables(beta, ms, grid, s_min):
@@ -142,12 +136,8 @@ def _tables(beta, ms, grid, s_min):
             for m in ms]
 
 
-def _grid_from_args(args):
-    if args.s is not None:
-        if not math.isfinite(args.s):
-            raise ValueError(f"--s must be finite, got {args.s}")
-        return np.array([args.s])
-    lo, hi, step = args.s_min, args.s_max, args.s_step
+def _grid(lo, hi, step):
+    """The grid lo, lo + step, ..., hi, as the --s-* flags give it."""
     if not (hi > lo and step > 0):
         raise ValueError("need s-max > s-min and s-step > 0")
     steps = (hi - lo) / step
@@ -156,6 +146,14 @@ def _grid_from_args(args):
                          f"{step:g} has more than {_MAX_GRID_POINTS} "
                          f"points")
     return np.linspace(lo, hi, int(round(steps)) + 1)
+
+
+def _grid_from_args(args):
+    if args.s is not None:
+        if not math.isfinite(args.s):
+            raise ValueError(f"--s must be finite, got {args.s}")
+        return np.array([args.s])
+    return _grid(args.s_min, args.s_max, args.s_step)
 
 
 def cmd_table(args):
@@ -189,13 +187,13 @@ def cmd_moments(args):
     return 0
 
 
-def _percentile_report(args, beta, samples, ks):
+def _percentile_report(args, samples, tables):
     """Percentile report of sample columns holding the k-th largest
-    eigenvalue for each k in ``ks``, column k against F_beta(s, k);
-    returns (JSON doc, CSV lines)."""
-    tables = _tables(beta, ks, _MOMENT_GRID, _MOMENT_X_LEFT)
+    eigenvalue, column i against ``tables[i]``; returns (JSON doc, CSV
+    lines)."""
+    ks = [t.m for t in tables]
     report = rmt.percentile_report(samples, tables, args.percentiles)
-    doc = {"k": list(ks), "levels": list(report.percentiles),
+    doc = {"k": ks, "levels": list(report.percentiles),
            "ordinates": [list(r) for r in report.ordinates],
            "proportions": [list(r) for r in report.proportions]}
     columns = ["percentile"]
@@ -224,9 +222,10 @@ def _ensemble_config(args):
 def cmd_simulate(args):
     cfg = _ensemble_config(args)
     if args.percentiles:
-        # the config _percentile_report will solve, checked before sampling
-        _served_config(_ENSEMBLE_BETA[cfg.ensemble], _MOMENT_X_LEFT,
-                       cfg.top_k)
+        # an unserved top k is refused before any solve or sampling
+        tables = _tables(_ENSEMBLE_BETA[cfg.ensemble],
+                         range(1, cfg.top_k + 1), _MOMENT_GRID,
+                         _MOMENT_X_LEFT)
     samples, failures = rmt.collect(cfg)
     if len(failures) > 0.001 * cfg.reps:
         first = failures[0]
@@ -247,9 +246,8 @@ def cmd_simulate(args):
                   ((i, j + 1, v) for i, row in enumerate(doc["samples"])
                    for j, v in enumerate(row)))
     if args.percentiles:
-        doc["percentiles"], report = _percentile_report(
-            args, _ENSEMBLE_BETA[cfg.ensemble], samples,
-            range(1, cfg.top_k + 1))
+        doc["percentiles"], report = _percentile_report(args, samples,
+                                                        tables)
         lines += ["# percentile report"] + report
     _write(args, doc, lines)
     return 0
@@ -292,7 +290,8 @@ def _read_samples_csv(path):
 
 def cmd_percentiles(args):
     ks, samples = _read_samples_csv(args.input)
-    doc, lines = _percentile_report(args, args.beta, samples, ks)
+    doc, lines = _percentile_report(
+        args, samples, _tables(args.beta, ks, _MOMENT_GRID, _MOMENT_X_LEFT))
     _write(args, {"beta": args.beta, **doc}, lines)
     return 0
 
@@ -308,7 +307,7 @@ def _verify_aj():
 def _verify_oracle():
     # I_0 and J_0 only: the order-0 solve
     pts = (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0)
-    cfg = _solver_config(pts[0], 1)
+    cfg = painleve.SolverConfig(jet_order=0)
     sol = painleve.solve(cfg)
     half = painleve.solve_at_lambda(0.5, cfg)
     r1, r2 = (max(abs(math.exp(-d.jet_at(s).I[0])
@@ -326,7 +325,7 @@ def _verify_oracle():
 
 def _verify_asymptotics():
     # reads q at orders 0 and 1
-    sol = painleve.solve(_solver_config(-8.0, 2))
+    sol = painleve.solve(painleve.SolverConfig())
     b = sol.jet_at(-8.0)
     q0_ref = painleve.q0_asymptotic(16.0)
     q1_ref = painleve.q1_asymptotic(16.0)
@@ -337,11 +336,11 @@ def _verify_asymptotics():
 
 
 def _verify_interlacing():
-    # F_1(s, 4) on the default grid [-13, 6], solved from half a unit
-    # further left
-    sol = painleve.solve(_solver_config(-13.5, 4))
-    r1 = dist.interlacing_residual(1, sol)
-    r2 = dist.interlacing_residual(2, sol)
+    # F_1(s, 4) on the default table grid [-13, 6], solved from half a
+    # unit further left
+    sol = painleve.solve(painleve.SolverConfig(x_left=-13.5))
+    grid = _grid(*_TABLE_GRID)
+    r1, r2 = (dist.interlacing_residual(m, sol, grid) for m in (1, 2))
     return [("sup |F4(s,1) - F1(s,2)| on [-13, 6]", r1, 1e-5),
             ("sup |F4(s,2) - F1(s,4)| on [-13, 6]", r2, 1e-4)]
 

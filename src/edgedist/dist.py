@@ -41,14 +41,11 @@ def _integer(name, value):
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _default_grid():
-    return np.linspace(-13.0, 6.0, 1901)
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class DistRequest:
     beta: int
     m: int = 1
+    # required: None, like any grid that is no 1-d array, is refused
     s_grid: np.ndarray = None
 
     def __post_init__(self):
@@ -58,8 +55,7 @@ class DistRequest:
             raise ValueError("beta must be one of 1, 2, 4")
         if self.m < 1:
             raise ValueError("m must be an integer >= 1")
-        grid = self.s_grid if self.s_grid is not None else _default_grid()
-        grid = np.asarray(grid, dtype=float)
+        grid = np.asarray(self.s_grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise ValueError("s_grid must be a non-empty 1-d array")
         if not np.isfinite(grid).all() or not (np.diff(grid) > 0).all():
@@ -237,10 +233,8 @@ def moments(table):
     return SummaryStats(mean=mean, sd=sd, skewness=g1, kurtosis=g2)
 
 
-def interlacing_residual(m, sol, s_grid=None):
-    """sup_s |F4(s, m) - F1(s, 2m)| over the grid (default -13..6)."""
-    if s_grid is None:
-        s_grid = _default_grid()
+def interlacing_residual(m, sol, s_grid):
+    """sup_s |F4(s, m) - F1(s, 2m)| over s_grid."""
     t4 = cdf(DistRequest(beta=4, m=m, s_grid=s_grid), sol)
     t1 = cdf(DistRequest(beta=1, m=2 * m, s_grid=s_grid), sol)
     return float(np.max(np.abs(t4.F - t1.F)))

@@ -2,14 +2,19 @@
 
 Verdicts print with capture suspended so they stay visible in the
 normal pytest run; the assertion after each print makes the outcome
-binding.  Every check is expected to pass.  The beta=1 reference rows
-of check 2 come from Bornemann's published 10-digit moments (m = 1
-directly, m = 2 through F_4(s, 1) = F_1(s, 2)); the m = 1 row is also
-tied to the Ferrari-Spohn determinant det(I - K_1) in test_oracle.
-The m = 3 and m = 4 rows have no recorded source.
+binding.  Every check is expected to pass.  The reference rows of
+checks 1 and 2 come from Bornemann's published 10-digit moments (beta=2
+m = 1, beta=1 m = 1, and beta=1 m = 2 through F_4(s, 1) = F_1(s, 2)),
+or from the Nystrom eigenvalues of ``tools/reference_moments.py``
+(beta=2 m = 2, and beta=1 m = 4 through F_4(s, 2) = F_1(s, 4)), which
+``test_reference_rows`` recomputes.  The beta=1 m = 1 row is also tied
+to the Ferrari-Spohn determinant det(I - K_1) in test_oracle.  The
+beta=1 m = 3 row has no recorded source.
 """
 
+import importlib.util
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -21,9 +26,14 @@ from edgedist import cli, dist, jet, oracle, painleve, rmt
 from conftest import MOMENT_GRID
 
 # reference moment tables: (mean, sd, skewness, excess kurtosis)
+# beta=2 rows, rounded to six places:
+#   m=1: the GUE Tracy-Widom moments of Bornemann (2010, cited below),
+#        which the tool's beta=2 m=1 row reproduces.
+#   m=2: `python tools/reference_moments.py`, the beta=2 m=2 row at
+#        n = 80 and 120 (the two agree to 7e-13).
 BETA2_MOMENTS = {
     1: (-1.771087, 0.901773, 0.224084, 0.093448),
-    2: (-3.675440, 0.735214, 0.125000, 0.021650),
+    2: (-3.675437, 0.735218, 0.125027, 0.021740),
 }
 # beta=1 rows, rounded to six places:
 #   m=1: Bornemann, "On the numerical evaluation of distributions in
@@ -35,13 +45,18 @@ BETA2_MOMENTS = {
 #        0.0491951565) carried over by F_4(s, 1) = F_1(s, 2) (check 3);
 #        that paper's GSE law is this library's F_4(sqrt(2) s, 1), so
 #        mean and sd are multiplied by sqrt(2) here.
-#   m=3, m=4: source unrecorded, no independent value in hand.
+#   m=3: source unrecorded.  The Forrester-Rains route of ROADMAP item
+#        3 gives the independent value; the tool does not have it yet.
+#   m=4: `python tools/reference_moments.py`, the beta=4 m=2 row at
+#        n = 80 and 120 (the two agree to 5e-12), through
+#        F_4(s, 2) = F_1(s, 4).
 BETA1_MOMENTS = {
     1: (-1.206534, 1.267983, 0.293465, 0.165243),
     2: (-3.262428, 1.017569, 0.165509, 0.049195),
     3: (-4.821636, 0.906849, 0.117557, 0.019506),
-    4: (-6.162036, 0.838537, 0.092305, 0.007802),
+    4: (-6.162040, 0.838545, 0.092328, 0.008161),
 }
+TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 WISHART_TARGETS = {
     # shape -> column -> proportions at (0.90, 0.95, 0.99)
     (100, 100): {1: (0.902, 0.951, 0.992),
@@ -100,14 +115,30 @@ def test_2_orthogonal_moments(beta1_tables, verdict):
     # to 6e-7.  The m=1 row is checked without the ODE as well:
     # test_oracle integrates the Ferrari-Spohn determinant
     # F_1(s) = det(I - K_1), K_1(x, y) = Ai((x + y)/2)/2, and its moments
-    # agree with the row to 1e-6.  The m=3 and m=4 rows are unverified;
-    # their worst deviation, 3.6e-4 in the m=4 kurtosis, is inside the gate
+    # agree with the row to 1e-6.  The m=4 row is the Nystrom
+    # eigenvalues' (test_reference_rows); the m=3 row is unverified
     assert worst <= 2e-3
 
 
+def test_reference_rows():
+    # the rows sourced from tools/reference_moments.py are the six-place
+    # rounding of its moments, at two Nystrom node counts
+    spec = importlib.util.spec_from_file_location(
+        "reference_moments", TOOLS / "reference_moments.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for beta, row in ((2, BETA2_MOMENTS[2]), (4, BETA1_MOMENTS[4])):
+        runs = [tool.moments(beta, 2, n, 60)[1] for n in (60, 90)]
+        assert max(abs(a - b) for a, b in zip(*runs)) <= 1e-9
+        for got in runs:
+            assert tuple(round(v, 6) for v in got) == row, (beta, got)
+
+
 def test_3_interlacing(sol_wide, verdict):
-    r1 = dist.interlacing_residual(1, sol_wide)
-    r2 = dist.interlacing_residual(2, sol_wide)
+    # the CLI's default table grid, which `verify --check interlacing`
+    # reads too
+    grid = cli._grid(*cli._TABLE_GRID)
+    r1, r2 = (dist.interlacing_residual(m, sol_wide, grid) for m in (1, 2))
     ok = r1 <= 1e-5 and r2 <= 1e-4
     verdict(3, "interlacing F4(s,m) = F1(s,2m) on [-13, 6]", ok,
              f"sup m=1 {r1:.2e} (tol 1e-05), m=2 {r2:.2e} (tol 1e-04)")

@@ -295,6 +295,27 @@ def test_solve_follows_the_request(capsys, monkeypatch, argv, x_left,
                                                            jet_order)]
 
 
+def test_verify_solves(capsys, monkeypatch):
+    # each check names its own configs: the order-0 solve and its
+    # lambda = 0.5 sweep, the default solve, the solve under [-13, 6]
+    calls, solve, at_lambda = [], painleve.solve, painleve.solve_at_lambda
+
+    def record(config=None):
+        calls.append(("solve", config.x_left, config.jet_order))
+        return solve(config)
+
+    def record_at_lambda(lam, config=None):
+        calls.append((lam, config.x_left, config.jet_order))
+        return at_lambda(lam, config)
+    monkeypatch.setattr(painleve, "solve", record)
+    monkeypatch.setattr(painleve, "solve_at_lambda", record_at_lambda)
+    for check in ("oracle", "asymptotics", "interlacing"):
+        assert cli.main(["verify", "--check", check]) == 0
+    capsys.readouterr()
+    assert calls == [("solve", -10.0, 0), (0.5, -10.0, 0),
+                     ("solve", -10.0, 4), ("solve", -13.5, 4)]
+
+
 def test_table_single_point(tmp_path):
     out = tmp_path / "point.csv"
     rc = cli.main(["table", "--beta", "2", "--m", "1", "--s", "-2",

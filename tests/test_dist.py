@@ -71,10 +71,12 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match="finite"):
             DistRequest(beta=2, s_grid=np.array([0.0, np.nan]))
 
-    def test_default_grid_frozen(self):
-        req = DistRequest(beta=2)
-        assert req.s_grid.size == 1901
-        assert req.s_grid[0] == -13.0 and req.s_grid[-1] == 6.0
+    def test_grid_required_and_frozen(self):
+        # no default grid: each caller names the grid it serves
+        with pytest.raises(ValueError, match="s_grid"):
+            DistRequest(beta=2)
+        grid = np.linspace(-13.0, 6.0, 1901)
+        req = DistRequest(beta=2, s_grid=grid)
         with pytest.raises(ValueError):
             req.s_grid[0] = 0.0
 

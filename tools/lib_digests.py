@@ -34,7 +34,9 @@ cache state) of the solves (x_left, jet order) = (-13.5, 4), (-10, 0)
 and (-20.25, 1), on 4,004 points of [x_left, 12] plus 6, 6 + 1e-9 and
 12; F and f of all 12 (beta, m) pairs from the (-13.5, 4) solve on the
 1201-, 1801-, 191-, 451-, 2001- and 201-point grids, and
-``dist.moments`` of the 1801-, 2001- and 201-point tables;
+``dist.moments`` of the 1801-, 2001- and 201-point tables, and the
+repr of ``dist.interlacing_residual`` for m = 1, 2 on the 1901-point
+grid of [-13, 6] that ``verify --check interlacing`` reads;
 ``specfun.airy_tail`` on [6, 60]; ``specfun.airy`` on 7,401 points
 of [-14, 60], as a line for x < -8 and one for x >= -8;
 ``specfun.airy_kernel`` on a grid of 60 nodes of [-8, 12] and on one
@@ -139,6 +141,11 @@ def main(argv):
             print(f"moments beta={beta} m={m}",
                   *(stats(tables[grid_name, beta, m]) for grid_name in
                     ("moments", "cli-moments", "coarse-moments")), flush=True)
+
+    grid = np.linspace(-13.0, 6.0, 1901)
+    for m in (1, 2):
+        print(f"interlacing_residual m={m}",
+              repr(dist.interlacing_residual(m, sol, grid)), flush=True)
 
     for name, a in zip(("Ai", "Ai'", "T", "V", "W"),
                        specfun.airy_tail(np.linspace(6.0, 60.0, 5401))):
