@@ -56,9 +56,9 @@ def _parse_levels(text):
         vals = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError("expected a comma list of numbers")
-    if not vals or not all(0.0 <= p <= 1.0 for p in vals):
+    if not vals or not all(0.0 < p < 1.0 for p in vals):
         raise argparse.ArgumentTypeError("expected percentile levels in "
-                                         "[0, 1]")
+                                         "(0, 1)")
     return vals
 
 

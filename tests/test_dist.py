@@ -80,6 +80,14 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             req.s_grid[0] = 0.0
 
+    def test_caller_grid_left_writable(self):
+        # the request freezes its own copy, not the caller's array
+        grid = np.linspace(0.0, 1.0, 3)
+        req = DistRequest(beta=2, s_grid=grid)
+        assert grid.flags.writeable and not req.s_grid.flags.writeable
+        grid[0] = 5.0
+        assert req.s_grid.tolist() == [0.0, 0.5, 1.0]
+
 
 class TestJetIdentities:
     # all at s = -2, a point with O(1) values on every branch
@@ -110,20 +118,12 @@ class TestJetIdentities:
         assert abs(c1 - fd) <= 1e-8
 
     def test_d4_derivative_against_quadrature(self, sol_default):
-        # Ferrari-Spohn: sqrt(D4(s, lam)) is the mean of
-        # det(I - sqrt(lam) K_1) and det(I + sqrt(lam) K_1)
-        def d4(lam):
-            a = math.sqrt(lam) * oracle._ferrari_spohn(-2.0, 120)
-            eye = np.eye(a.shape[0])
-            return (0.5 * (oracle._logdet(eye - a)
-                           + oracle._logdet(eye + a))) ** 2
-
-        h = 1e-3
-        v = [d4(1.0 - k * h) for k in range(3)]
-        fd = (3.0 * v[0] - 4.0 * v[1] + v[2]) / (2.0 * h)
+        # sqrt(D4) = E_4(0; s) + t E_4(1; s) + ..., t = 1 - lambda, so
+        # dD4/dlambda = -2 E_4(0; s) E_4(1; s) at lambda = 1
+        e = oracle.edge_probabilities(-2.0, 4, 2, 120)
         r = dist._root_of(sol_default.jet_at(-2.0), 4)[0]
         c1 = jet.jet_mul(r, r)[1]
-        assert abs(c1 - fd) <= 1e-8
+        assert abs(c1 + 2.0 * e[0] * e[1]) <= 1e-8
 
     def test_composition_through_lt_is_even(self, sol_default):
         # lt - 1 = -(lambda - 1)^2 kills the odd orders
@@ -258,18 +258,10 @@ class TestCdf:
             assert coarse.tobytes() == fine[::25].tobytes()
 
     def test_density_beta2_m4_against_eigenvalues(self, sol_default):
-        # E_2(k; s) are the coefficients of prod_j ((1 - mu_j) + t mu_j),
-        # t = 1 - lambda, with mu_j the eigenvalues of the symmetrized
-        # Airy-kernel Nystrom matrix; a 5-point difference of their sum
-        # over k < 4 is the reference
+        # a 5-point difference of F_2(s, 4), the sum of the E_2(k; s)
+        # from the Nystrom eigenvalues over k < 4, is the reference
         def F_ref(s):
-            x, sq = oracle._rule(s, 100)
-            mu = np.linalg.eigvalsh(sq[:, None] * specfun.airy_kernel(
-                x[:, None], x[None, :]) * sq[None, :])
-            poly = np.array([1.0])
-            for u in mu:
-                poly = np.convolve(poly, [1.0 - u, u])[:4]
-            return poly.sum()
+            return oracle.edge_probabilities(s, 2, 4, 100).sum()
 
         s = np.array([-7.0, -6.5, -6.0])
         t = dist.cdf(DistRequest(beta=2, m=4, s_grid=s), sol_default)
@@ -277,21 +269,9 @@ class TestCdf:
         assert np.max(np.abs(t.f - fd)) <= 1e-7
 
     def test_density_beta4_m3_against_eigenvalues(self, sol_default):
-        # sqrt(D4) = (prod_j (1 - sqrt(lambda) b_j)
-        #             + prod_j (1 + sqrt(lambda) b_j)) / 2
-        # with b_j the eigenvalues of the Ferrari-Spohn matrix, as jets
-        # in lambda - 1 through order 2
-        root_lambda = np.array(painleve.sqrt_lambda_coeffs(2))
-        one = np.eye(1, 3)[0]
-
+        # the same for F_4(s, 3), from the Ferrari-Spohn eigenvalues
         def F_ref(s):
-            b = np.linalg.eigvalsh(oracle._ferrari_spohn(s, 100))
-            lo, hi = one, one
-            for v in b:
-                lo = jet.jet_mul(lo, one - v * root_lambda)
-                hi = jet.jet_mul(hi, one + v * root_lambda)
-            c = 0.5 * (lo + hi)
-            return c[0] - c[1] + c[2]
+            return oracle.edge_probabilities(s, 4, 3, 100).sum()
 
         s = np.array([-9.0, -8.75, -8.5, -8.25])
         t = dist.cdf(DistRequest(beta=4, m=3, s_grid=s), sol_default)

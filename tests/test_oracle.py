@@ -1,10 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
 from edgedist import dist, oracle, specfun
-from test_acceptance import BETA1_MOMENTS
 
 # values fixed by earlier runs of this module at n = 200; guards against
 # regressions in the rule or kernel assembly
@@ -28,10 +25,6 @@ def test_rule_properties():
 
 def test_argument_checks():
     with pytest.raises(ValueError):
-        oracle.nystrom_d2(-10.5)
-    with pytest.raises(ValueError):
-        oracle.nystrom_d2(6.5)
-    with pytest.raises(ValueError):
         oracle.nystrom_d2(-2.0, n=2001)
     with pytest.raises(ValueError):
         oracle.nystrom_d2(-2.0, lam=1.2)
@@ -47,6 +40,47 @@ def test_argument_checks():
         with pytest.raises(ValueError, match="node count n must be an "
                                              "integer"):
             oracle.nystrom_d4(-2.0, n)
+    for beta, m_max, match in ((3, 1, "beta"), (2, 0, "m_max"),
+                               (2, 2.0, "m_max must be an integer"),
+                               (1, 2, "Forrester-Rains")):
+        with pytest.raises(ValueError, match=match):
+            oracle.edge_probabilities(-2.0, beta, m_max)
+
+
+def test_range_is_the_airy_range():
+    # s in [XMIN, XMAX] = [-14, 60] is accepted by all three, the next
+    # double beyond either end refused
+    calls = (oracle.nystrom_d2, oracle.nystrom_d4,
+             lambda s: oracle.edge_probabilities(s, 4, 2))
+    for call in calls:
+        for s in (specfun.XMIN, specfun.XMAX):
+            assert np.all(np.isfinite(call(s)))
+        for s in (np.nextafter(specfun.XMIN, -np.inf),
+                  np.nextafter(specfun.XMAX, np.inf)):
+            with pytest.raises(ValueError, match=r"\[-14, 60\]"):
+                call(s)
+    # no node is left at the right end: the determinants are exactly 1
+    assert oracle.nystrom_d2(specfun.XMAX) == 1.0
+    assert oracle.nystrom_d4(specfun.XMAX) == 1.0
+
+
+def test_determinants_are_edge_probabilities():
+    # one route: the determinants are the k = 0 terms, bit for bit, at
+    # the points of ``verify --check oracle``
+    for s in (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0):
+        for n in (60, 200):
+            assert oracle.nystrom_d2(s, 1.0, n) == \
+                oracle.edge_probabilities(s, 2, 1, n)[0]
+            assert oracle.nystrom_d4(s, n) == \
+                oracle.edge_probabilities(s, 4, 1, n)[0] ** 2
+
+
+def test_edge_probabilities_are_probabilities():
+    # nonnegative and of total mass at most 1, to rounding
+    for s in np.linspace(-13.0, 12.0, 51):
+        for beta, m_max in ((1, 1), (2, 4), (4, 4)):
+            e = oracle.edge_probabilities(s, beta, m_max)
+            assert np.all(e >= -1e-15) and e.sum() <= 1.0 + 1e-15, (s, beta)
 
 
 def test_lambda_zero_is_one():
@@ -55,8 +89,8 @@ def test_lambda_zero_is_one():
 
 def test_far_right_near_one():
     assert abs(oracle.nystrom_d2(6.0) - 1.0) <= 1e-8
-    # mapped nodes reach past the Airy working range; those rows must
-    # drop out as exact identity blocks rather than raise
+    # mapped nodes reach past the Airy working range; the rule must drop
+    # them rather than raise
     assert abs(oracle.nystrom_d2(5.9) - 1.0) <= 1e-8
 
 
@@ -85,36 +119,11 @@ def test_monotone_in_s_and_lambda():
     assert np.all(np.diff(grid, axis=1) < 1e-14)
 
 
-def _f1_det(s):
-    # Ferrari-Spohn: F_1(s) = det(I - K_1) on L^2(s, inf) with
-    # K_1(x, y) = Ai((x + y)/2)/2, discretized on the oracle's rule
-    a = oracle._ferrari_spohn(s, 40)
-    return oracle._logdet(np.eye(a.shape[0]) - a)
-
-
 def test_f1_determinant_matches_pipeline(sol_default):
+    # Ferrari-Spohn: F_1(s) = det(I - K_1) on L^2(s, inf) with
+    # K_1(x, y) = Ai((x + y)/2)/2
     pts = np.linspace(-8.0, 4.0, 7)
     tab = dist.cdf(dist.DistRequest(beta=1, m=1, s_grid=pts), sol_default)
-    det = np.array([_f1_det(s) for s in pts])
+    det = np.array([oracle.edge_probabilities(s, 1, 1, 40)[0] for s in pts])
     assert np.max(np.abs(det - tab.F)) <= 1e-10
 
-
-def test_f1_determinant_moments_match_reference():
-    # E[X^k] = int k s^(k-1) (1{s > 0} - F(s)) ds, by Gauss-Legendre on
-    # [-13, 0] and [0, 9.5]; the mass outside is below 1e-10
-    u, wu = np.polynomial.legendre.leggauss(60)
-    spans = ((-13.0, 0.0), (0.0, 9.5))
-    s = np.concatenate([a + 0.5 * (b - a) * (u + 1.0) for a, b in spans])
-    w = np.concatenate([0.5 * (b - a) * wu for a, b in spans])
-    F = np.array([_f1_det(v) for v in s])
-    excess = np.where(s > 0.0, 1.0 - F, -F)
-    m1, m2, m3, m4 = (np.sum(w * k * s ** (k - 1) * excess)
-                      for k in range(1, 5))
-    var = m2 - m1 ** 2
-    sd = math.sqrt(var)
-    skew = (m3 - 3.0 * m1 * m2 + 2.0 * m1 ** 3) / sd ** 3
-    kurt = (m4 - 4.0 * m1 * m3 + 6.0 * m1 ** 2 * m2
-            - 3.0 * m1 ** 4) / var ** 2 - 3.0
-    # six-place rounding of the row plus the oracle error: at most 5.5e-7
-    got = (m1, sd, skew, kurt)
-    assert max(abs(g - r) for g, r in zip(got, BETA1_MOMENTS[1])) <= 1e-6

@@ -17,7 +17,10 @@ the grid:
     moments beta=B m=M (mean, sd, skewness, kurtosis) (mean, ...) (...)
 
 A grid on which ``dist.moments`` raises prints ``ValueError(message)``
-in place of the tuple.
+in place of the tuple.  The oracle's E_beta(k; s), k < m_max, print as
+the repr of their list, to pin the Fredholm route's bits:
+
+    edge_probabilities s=S beta=B m_max=M [E_0, ..., E_{M-1}]
 
 Usage:
 
@@ -47,7 +50,9 @@ lambda = 0.5 (``painleve._tail_state``); the jets of the lambda = 0.5
 solution at the six points of ``verify --check oracle`` and at 7.5;
 ``oracle.nystrom_d2`` at
 lambda = 1 and 0.5, and ``oracle.nystrom_d4``, at those six points
-with n = 200; the samples of ``rmt.collect`` for the five Monte-Carlo
+with n = 200; the repr of ``oracle.edge_probabilities`` at n = 200 for
+(beta, m_max) = (1, 1), (2, 4) and (4, 4) at those six points and at
+s = -14 and 12; the samples of ``rmt.collect`` for the five Monte-Carlo
 job classes of the benchmark (GOE 400, GUE 200, GSE 100, Wishart
 100 x 400 and 100 x 100; 8 reps) at top_k 1 and 4 and seeds 1-3, each
 labelled with its shape and the indices of its failed reps, and per job
@@ -174,6 +179,11 @@ def main(argv):
         line(f"nystrom_d2 lambda={lam!r}",
              [oracle.nystrom_d2(s, lam, 200) for s in pts])
     line("nystrom_d4", [oracle.nystrom_d4(s, 200) for s in pts])
+    for beta, m_max in ((1, 1), (2, 4), (4, 4)):
+        for s in (specfun.XMIN, *pts, 12.0):
+            e = oracle.edge_probabilities(s, beta, m_max, 200)
+            print(f"edge_probabilities s={s!r} beta={beta} m_max={m_max}",
+                  repr(e.tolist()), flush=True)
 
     for ens, size, rows, cols in MC_JOBS:
         for top_k in (1, 4):

@@ -1,20 +1,12 @@
-"""Reference moments of F_2(s, m) and F_4(s, m) from Nystrom eigenvalues.
+"""Reference moments of F_1(s, 1), F_2(s, m) and F_4(s, m) from Nystrom
+eigenvalues.
 
-Independent of the Painleve solve and its jets.  At each s the Airy
-kernel and the Ferrari-Spohn kernel K_1(x, y) = Ai((x + y)/2)/2 are
-discretized on ``oracle._rule(s, n)``, the rule of the Nystrom oracle,
-and symmetrized by the square roots of its weights (Bornemann, Math.
-Comp. 79 (2010)).  With t = 1 - lambda:
-
-- beta = 2: det(I - lambda K) = prod_j ((1 - mu_j) + t mu_j) over the
-  eigenvalues mu_j of the Airy-kernel matrix;
-- beta = 4: sqrt(D4(s, lambda)) = (prod_j (1 - sqrt(1 - t) b_j)
-  + prod_j (1 + sqrt(1 - t) b_j)) / 2 over the eigenvalues b_j of the
-  Ferrari-Spohn matrix, the generating function of F_4(s, m) =
-  F_1(s, 2m).
-
-F_beta(s, m) is the sum of the t-coefficients of orders below m.  The
-raw moments are
+Independent of the Painleve solve and its jets: F_beta(s, m) is the sum
+of ``oracle.edge_probabilities(s, beta, m, n)``, the E_beta(k; s) for
+k < m as t-coefficients (t = 1 - lambda) of products over the
+eigenvalues of the oracle's Airy-kernel and Ferrari-Spohn matrices
+(Bornemann, Math. Comp. 79 (2010)).  F_4(s, m) = F_1(s, 2m); beta = 1
+is served for m = 1 only.  The raw moments are
 
     E[X^k] = integral of k s^(k-1) (1{s > 0} - F(s)) ds,
 
@@ -48,46 +40,18 @@ M_MAX = 2
 TOL = 1e-9
 
 
-def _product(c, h):
-    # prod_j ((1 - c_j) + c_j h(t)) as a jet in t, truncated to the
-    # length of h, whose constant term is 0
-    out = np.zeros_like(h)
-    out[0] = 1.0
-    for cj in c:
-        factor = cj * h
-        factor[0] = 1.0 - cj
-        out = np.convolve(out, factor)[:h.size]
-    return out
-
-
-def _generating(beta, s, terms, n):
-    # the first ``terms`` t-coefficients of the generating function
-    if beta == 2:
-        x, sq = oracle._rule(s, n)
-        mu = np.linalg.eigvalsh(sq[:, None] * specfun.airy_kernel(
-            x[:, None], x[None, :]) * sq[None, :])
-        return _product(mu, np.eye(1, terms, 1)[0])
-    b = np.linalg.eigvalsh(oracle._ferrari_spohn(s, n))
-    # 1 - sqrt(1 - t) = sum_{k >= 1} h_k t^k
-    h = np.zeros(terms)
-    g = 1.0
-    for k in range(1, terms):
-        g *= (k - 1.5) / k
-        h[k] = -g
-    return 0.5 * (_product(b, h) + _product(-b, h))
-
-
 def moments(beta, m_max, n, nodes):
     """(mean, sd, skewness, excess kurtosis) of F_beta(s, m), m = 1..m_max.
 
-    beta is 2 or 4; n is the Nystrom node count, ``nodes`` the
-    Gauss-Legendre node count on each side of 0.
+    beta is 1 (m_max = 1 only), 2 or 4; n is the Nystrom node count,
+    ``nodes`` the Gauss-Legendre node count on each side of 0.
     """
     u, w = np.polynomial.legendre.leggauss(nodes)
     raw = np.zeros((4, m_max))
     for lo, hi in ((specfun.XMIN, 0.0), (0.0, S_RIGHT)):
         s = lo + 0.5 * (hi - lo) * (u + 1.0)
-        F = np.cumsum([_generating(beta, x, m_max, n) for x in s], axis=1)
+        F = np.cumsum([oracle.edge_probabilities(x, beta, m_max, n)
+                       for x in s], axis=1)
         # 1{s > 0} - F
         y = -F if hi == 0.0 else 1.0 - F
         for k in range(1, 5):
@@ -105,12 +69,13 @@ def moments(beta, m_max, n, nodes):
 def main():
     ns = (N, math.ceil(1.5 * N))
     print(f"# (mean, sd, skewness, excess kurtosis) of F_beta(s, m); "
-          f"Nystrom on oracle._rule(s, n), {NODES} Gauss-Legendre "
-          f"nodes on each of [{specfun.XMIN:g}, 0] and [0, {S_RIGHT:g}]")
+          f"oracle.edge_probabilities(s, beta, m, n), {NODES} "
+          f"Gauss-Legendre nodes on each of [{specfun.XMIN:g}, 0] and "
+          f"[0, {S_RIGHT:g}]")
     worst = 0.0
-    for beta in (2, 4):
-        runs = [moments(beta, M_MAX, n, NODES) for n in ns]
-        for m in range(1, M_MAX + 1):
+    for beta, m_max in ((1, 1), (2, M_MAX), (4, M_MAX)):
+        runs = [moments(beta, m_max, n, NODES) for n in ns]
+        for m in range(1, m_max + 1):
             for n, rows in zip(ns, runs):
                 print(f"beta={beta} m={m} n={n}:",
                       " ".join(f"{v:.11f}" for v in rows[m - 1]))
