@@ -25,9 +25,9 @@ _BETAS = (1, 2, 4)
 _ENSEMBLE_BETA = {"goe": 1, "gue": 2, "gse": 4, "wishart": 1}
 # grid wide enough that every supported (beta, m) has negligible mass
 # outside it (1 - F_1(12, 1) is about 2e-14); needed by the moment
-# quadrature.  Its solves start half a unit further left.
+# quadrature.  The served solve starts half a unit further left.
 _MOMENT_GRID = np.linspace(-13.0, 12.0, 2001)
-_MOMENT_X_LEFT = -13.5
+_X_LEFT = -13.5
 _TABLE_GRID = (-13.0, 6.0, 0.01)
 # the largest m served per beta: F_4(s, 4) from the solve's jets has a
 # negative density and falls below F_4(s, 3) (ROADMAP item 2)
@@ -107,31 +107,21 @@ def _csv(columns, rows):
     return [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
 
 
-def _served_config(beta, s_min, m_max):
-    """The solve that serves F_beta(s, m) for s >= s_min and m <= m_max.
-
-    x_left covers s_min.  F(s, 1) reads only the order-0 jets, which are
-    the same bits at every jet order, so m_max = 1 solves at order 0.
-    Every m >= 2 solves at the default order: the sweep's step control
-    acts on all orders at once, so one order for all of them keeps the
-    printed digits independent of the request.  ValueError for m_max
-    above that order, then for m_max above ``_MAX_M[beta]``.
-    """
-    d = painleve.SolverConfig()
-    if m_max > d.jet_order:
+def _tables(beta, ms, grid):
+    """F_beta(s, m) on ``grid`` for each m, from the one served solve:
+    x_left = min(_X_LEFT, grid[0]) at the default jet order, for every m.
+    ValueError before the solve for an m above that order, then for one
+    above ``_MAX_M[beta]``."""
+    cfg = painleve.SolverConfig(x_left=min(_X_LEFT, float(grid[0])))
+    m_max = max(ms)
+    if m_max > cfg.jet_order:
         raise ValueError(f"m = {m_max} exceeds the solver jet order "
-                         f"{d.jet_order}")
+                         f"{cfg.jet_order}")
     if m_max > _MAX_M[beta]:
         raise ValueError(f"beta = {beta}, m = {m_max} is not served: the "
                          f"solve's F_{beta}(s, {m_max}) has a negative "
                          f"density and falls below F_{beta}(s, {m_max - 1})")
-    return painleve.SolverConfig(x_left=min(d.x_left, s_min),
-                                 jet_order=0 if m_max == 1 else d.jet_order)
-
-
-def _tables(beta, ms, grid, s_min):
-    """Solve once, then tabulate F_beta(s, m) on ``grid`` for each m."""
-    sol = painleve.solve(_served_config(beta, s_min, max(ms)))
+    sol = painleve.solve(cfg)
     return [dist.cdf(dist.DistRequest(beta=beta, m=m, s_grid=grid), sol)
             for m in ms]
 
@@ -145,7 +135,11 @@ def _grid(lo, hi, step):
         raise ValueError(f"the grid from {lo:g} to {hi:g} in steps of "
                          f"{step:g} has more than {_MAX_GRID_POINTS} "
                          f"points")
-    return np.linspace(lo, hi, int(round(steps)) + 1)
+    n = round(steps)
+    if abs(steps - n) > 1e-9 * n:
+        raise ValueError(f"--s-step {_fmt(step)} does not divide the range "
+                         f"from {_fmt(lo)} to {_fmt(hi)}")
+    return np.linspace(lo, hi, n + 1)
 
 
 def _grid_from_args(args):
@@ -163,9 +157,7 @@ def cmd_table(args):
     # the Tracy-Widom normalization F_4^TW(s) = F_4(sqrt(2) s): the
     # default table read at sqrt(2) s
     scale = math.sqrt(2.0) if args.tw_convention else 1.0
-    solve_grid = grid * scale
-    tables = _tables(args.beta, args.m, solve_grid,
-                     float(solve_grid[0]))
+    tables = _tables(args.beta, args.m, grid * scale)
     blocks = [{"beta": t.beta, "m": t.m, "s": grid.tolist(),
                "F": t.F.tolist(), "f": (t.f * scale).tolist()}
               for t in tables]
@@ -180,8 +172,7 @@ def cmd_table(args):
 def cmd_moments(args):
     rows = [{"beta": t.beta, "m": t.m,
              **dataclasses.asdict(dist.moments(t))}
-            for t in _tables(args.beta, args.m, _MOMENT_GRID,
-                             _MOMENT_X_LEFT)]
+            for t in _tables(args.beta, args.m, _MOMENT_GRID)]
     _write(args, {"moments": rows},
            _csv(rows[0].keys(), (r.values() for r in rows)))
     return 0
@@ -224,8 +215,7 @@ def cmd_simulate(args):
     if args.percentiles:
         # an unserved top k is refused before any solve or sampling
         tables = _tables(_ENSEMBLE_BETA[cfg.ensemble],
-                         range(1, cfg.top_k + 1), _MOMENT_GRID,
-                         _MOMENT_X_LEFT)
+                         range(1, cfg.top_k + 1), _MOMENT_GRID)
     samples, failures = rmt.collect(cfg)
     if len(failures) > 0.001 * cfg.reps:
         first = failures[0]
@@ -291,7 +281,7 @@ def _read_samples_csv(path):
 def cmd_percentiles(args):
     ks, samples = _read_samples_csv(args.input)
     doc, lines = _percentile_report(
-        args, samples, _tables(args.beta, ks, _MOMENT_GRID, _MOMENT_X_LEFT))
+        args, samples, _tables(args.beta, ks, _MOMENT_GRID))
     _write(args, {"beta": args.beta, **doc}, lines)
     return 0
 
@@ -336,9 +326,8 @@ def _verify_asymptotics():
 
 
 def _verify_interlacing():
-    # F_1(s, 4) on the default table grid [-13, 6], solved from half a
-    # unit further left
-    sol = painleve.solve(painleve.SolverConfig(x_left=-13.5))
+    # F_1(s, 4) on the default table grid [-13, 6], from the served solve
+    sol = painleve.solve(painleve.SolverConfig(x_left=_X_LEFT))
     grid = _grid(*_TABLE_GRID)
     r1, r2 = (dist.interlacing_residual(m, sol, grid) for m in (1, 2))
     return [("sup |F4(s,1) - F1(s,2)| on [-13, 6]", r1, 1e-5),

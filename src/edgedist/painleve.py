@@ -35,6 +35,7 @@ import contextlib
 import dataclasses
 import hashlib
 import math
+import numbers
 import os
 import tempfile
 import zipfile
@@ -44,6 +45,7 @@ import numpy as np
 import scipy
 
 from . import specfun
+from .dist import _integer
 
 
 class SolverError(RuntimeError):
@@ -74,9 +76,14 @@ class SolverConfig:
     jet_order: int = 4
 
     def __post_init__(self):
+        if not isinstance(self.x_left, numbers.Real):
+            raise ValueError(f"x_left must be a real number, got "
+                             f"{self.x_left!r}")
         if not -math.inf < self.x_left < _PATCH_POINT:
             raise ValueError(f"x_left must be finite and < {_PATCH_POINT}, "
                              f"where the asymptotic expansion takes over")
+        object.__setattr__(self, "jet_order",
+                           _integer("jet_order", self.jet_order))
         if self.jet_order < 0:
             raise ValueError("jet_order must be >= 0")
 

@@ -28,7 +28,8 @@ def sol_default():
 
 @pytest.fixture(scope="session")
 def sol_wide():
-    # covers the default dist grid [-13, 6] and the moment grid
+    # the CLI's served solve: it covers the default table grid [-13, 6]
+    # and the moment grid
     return painleve.solve(painleve.SolverConfig(x_left=-13.5))
 
 

@@ -206,6 +206,25 @@ class TestArgumentErrors:
             cli.main(["table", "--beta", "2", "--s-min", "0", "--s-max",
                       "1", "--s-step", "1.000001e-6"])
 
+    def test_step_must_divide_the_range(self, capsys, monkeypatch):
+        # refused before any solve; the grid would not hold lo + step
+        monkeypatch.setattr(painleve, "solve", _no_solve)
+        for step in ("0.3", "3"):
+            assert cli.main(["table", "--beta", "2", "--s-min", "0",
+                             "--s-max", "1", "--s-step", step]) == 2
+            assert capsys.readouterr() == ("", f"error: --s-step {step} "
+                                           f"does not divide the range "
+                                           f"from 0 to 1\n")
+
+    @pytest.mark.parametrize("lo, hi, step, points", [
+        (-13.0, 6.0, 0.01, 1901), (-18.0, 9.5, 0.05, 551),
+        (-6.0, 3.0, 0.25, 37), (0.0, 1.0, 1.000001e-6, 1_000_000)])
+    def test_dividing_steps_are_served(self, lo, hi, step, points):
+        # the default grid, the wide and JSON grids of
+        # tools/cli_digests.py and the largest grid served
+        grid = cli._grid(lo, hi, step)
+        assert (grid.size, grid[0], grid[-1]) == (points, lo, hi)
+
     def test_table_refuses_beta4_m4(self, capsys, monkeypatch):
         # refused before any solve, alone or in a list; m = 4 at beta 1
         # and 2 is served
@@ -273,16 +292,22 @@ def test_served_pairs_are_the_sound_ones(sol_wide):
 
 
 @pytest.mark.parametrize("argv, x_left, jet_order", [
-    (["table", "--beta", "2", "--m", "1", "--s", "0"], -10.0, 0),
-    (["table", "--beta", "2", "--m", "1,2", "--s", "0"], -10.0, 4),
-    (["moments", "--beta", "2", "--m", "1"], -13.5, 0),
+    (["table", "--beta", "2", "--m", "1", "--s", "0"], -13.5, 4),
+    (["table", "--beta", "2", "--m", "1,2", "--s", "0"], -13.5, 4),
+    (["moments", "--beta", "2", "--m", "1"], -13.5, 4),
     (["verify", "--check", "oracle"], -10.0, 0),
     (["verify", "--check", "asymptotics"], -10.0, 4),
     (["verify", "--check", "interlacing"], -13.5, 4),
+    (["table", "--beta", "2", "--m", "1,2", "--s-min", "-18", "--s-max",
+      "9.5", "--s-step", "0.05"], -18.0, 4),
+    (["simulate", "--ensemble", "gue", "--n", "10", "--reps", "5",
+      "--percentiles", "0.5"], -13.5, 4),
 ])
 def test_solve_follows_the_request(capsys, monkeypatch, argv, x_left,
                                    jet_order):
-    # the jet orders the request reads, from an x_left covering its grid
+    # every served request reads the one solve, x_left = -13.5 or the
+    # grid's left end if that lies further left, at jet order 4; each
+    # verify check names its own
     configs, solve = [], painleve.solve
 
     def record(config=None):
@@ -293,6 +318,22 @@ def test_solve_follows_the_request(capsys, monkeypatch, argv, x_left,
     capsys.readouterr()
     assert [(c.x_left, c.jet_order) for c in configs] == [(x_left,
                                                            jet_order)]
+
+
+@pytest.mark.parametrize("beta, m, s", [(4, 3, -8.5), (2, 3, -2.5)])
+def test_value_does_not_depend_on_the_request(capsys, sol_wide, beta, m, s):
+    # a point asked alone, the same point as a row of the default table,
+    # and dist.cdf on the served solve give the same bits
+    argv = ["table", "--beta", str(beta), "--m", str(m), "--json"]
+    values = []
+    for extra in (["--s", str(s)], []):
+        assert cli.main(argv + extra) == 0
+        block = json.loads(capsys.readouterr().out)["tables"][0]
+        row = block["s"].index(s)
+        values.append((block["F"][row], block["f"][row]))
+    t = dist.cdf(dist.DistRequest(beta=beta, m=m, s_grid=[s]), sol_wide)
+    values.append((float(t.F[0]), float(t.f[0])))
+    assert values[0] == values[1] == values[2]
 
 
 def test_verify_solves(capsys, monkeypatch):

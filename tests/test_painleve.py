@@ -35,6 +35,19 @@ class TestConfig:
             with pytest.raises(ValueError, match="finite"):
                 SolverConfig(x_left=x_left)
 
+    def test_field_types_checked(self):
+        # a ValueError naming the field, not a TypeError from the solve
+        # or from a comparison
+        for kwargs, field in ((dict(jet_order=2.5), "jet_order"),
+                              (dict(jet_order="4"), "jet_order"),
+                              (dict(x_left="-11"), "x_left"),
+                              (dict(x_left=None), "x_left")):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                SolverConfig(**kwargs)
+        cfg = SolverConfig(x_left=-11, jet_order=np.int64(2))
+        assert (cfg.x_left, cfg.jet_order) == (-11, 2)
+        assert type(cfg.jet_order) is int
+
     def test_shallow_left_end_rejected(self):
         # the asymptotic anchor needs -2*x_left inside the series range,
         # which the config enforces before any solve starts

@@ -414,9 +414,10 @@ def test_warm_cli_leaves_out_integrate_and_interpolate(tmp_path):
             "    assert edgedist.cli.main(sys.argv[1:]) == 0\n"
             "print([m for m in ('scipy.integrate', 'scipy.interpolate',\n"
             "                   'scipy.special') if m in sys.modules])")
-    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
 
     def loaded(*argv):
+        # each command its own cache: both read the one served solve
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "-".join(argv)))
         out = subprocess.run([sys.executable, "-c", code, *argv],
                              capture_output=True, text=True, timeout=120,
                              check=True, cwd=src, env=env)

@@ -1,4 +1,4 @@
-"""SHA-256 digests of the CLI's output on a fixed set of 77 commands.
+"""SHA-256 digests of the CLI's output on a fixed set of 80 commands.
 
 Each command runs as a fresh ``python -m edgedist.cli`` process from
 the ``src/`` of the checkout that holds this script, and prints one
@@ -18,15 +18,17 @@ where the checkout is.  To compare two checkouts, run a copy of this
 script from the tools/ folder of each and diff the outputs.
 
 The set: ``table`` as a grid, at one point (``--s``) and as JSON for
-beta 1, 2, 4 and m = 1, 2, 3, 1..4, a wide grid per beta and
-``--tw-convention``; ``moments`` per beta at m = 1, 1..2, 1..4 and as
-JSON; the four ``verify`` checks as CSV and JSON; ``simulate`` (GOE,
-GUE, GSE) and ``wishart`` with ``--percentiles``; ``percentiles`` at
-0.5, 0.9, 0 and 1; eight usage errors, which exit 2.  The last two
-ask for F_4(s, 4), which the CLI refuses: a GSE ``--top-k 4``
-percentile report and ``table --beta 4 --m 4 --s -9``.  The ``table``
-and ``moments`` commands above whose m list holds 4 at beta 4 exit 2
-for the same reason.
+beta 1, 2, 4 and m = 1, 2, 3, 1..4, a wide grid per beta,
+``--tw-convention``, a row of the default grid asked alone (-8.5 at
+beta 4, m = 3) and a point left of -10 (-11 at beta 2); ``moments``
+per beta at m = 1, 1..2, 1..4 and as JSON; the four ``verify`` checks
+as CSV and JSON; ``simulate`` (GOE, GUE, GSE) and ``wishart`` with
+``--percentiles``; ``percentiles`` at 0.5, 0.9, 0 and 1; nine usage
+errors, which exit 2, among them an ``--s-step`` that does not divide
+the range. The last two ask for F_4(s, 4), which the CLI refuses: a
+GSE ``--top-k 4`` percentile report and ``table --beta 4 --m 4 --s
+-9``. The ``table`` and ``moments`` commands above whose m list holds
+4 at beta 4 exit 2 for the same reason.
 """
 
 import hashlib
@@ -53,7 +55,9 @@ def commands():
         cmds.append(f"table --beta {beta} --m 1,2 --s-min -18 --s-max 9.5 "
                     f"--s-step 0.05")
     cmds += ["table --beta 4 --m 1,2 --tw-convention",
-             "table --beta 4 --s -2.306885 --tw-convention"]
+             "table --beta 4 --s -2.306885 --tw-convention",
+             "table --beta 4 --m 3 --s -8.5",
+             "table --beta 2 --s -11"]
     for beta in (1, 2, 4):
         cmds += [f"moments --beta {beta} --m {m}"
                  for m in ("1", "1,2", "1,2,3,4")]
@@ -71,6 +75,7 @@ def commands():
     cmds += ["table --beta 3",
              "table --beta 2 --m 5",
              "table --beta 2 --s-min 1 --s-max 0",
+             "table --beta 2 --s-min 0 --s-max 1 --s-step 0.3",
              "table --beta 1 --tw-convention",
              "moments --beta 2 --m 0",
              "simulate --ensemble goe --n 50 --reps 20 --percentiles nan",
