@@ -11,7 +11,9 @@ with mu = J.  F_beta(s, m) then telescopes out of the Taylor
 coefficients at lambda = 1: the step from m to m+1 equals
 (-1)^m/m! times the m-th lambda-derivative of D (of sqrt(D) for
 beta in {1, 4}), and derivative/m! is precisely Taylor coefficient m,
-so F(s, m) = sum_{k=0}^{m-1} (-1)^k c_k.
+so F(s, m) = sum_{k=0}^{m-1} (-1)^k c_k reads jet orders 0..m-1; but
+D1 reads I and J at lt, functions of u = lt - 1 = -(lambda - 1)^2, so
+F_1(s, m) reads only their u-jets, orders 0..(m-1)//2.
 
 The density f = dF/ds telescopes the same way from the s-derivatives of
 the c_k.  Every determinant is built from exponentials exp(L), L linear
@@ -21,13 +23,12 @@ moments integrate that f by the trapezoid rule on the table's grid.
 """
 
 import dataclasses
-import functools
 import math
 import operator
 
 import numpy as np
 
-from .jet import jet_div, jet_exp, jet_mul, jet_sqrt
+from .jet import jet_div, jet_exp, jet_mul, jet_sqrt, sqrt_lambda_coeffs
 
 # below this the jet square root is dominated by roundoff of the
 # underflowing constant term; the distribution value there is 0 anyway
@@ -81,22 +82,12 @@ class SummaryStats:
     kurtosis: float
 
 
-@functools.lru_cache(maxsize=None)
-def _one_pm_root_tilde(order):
-    # the constant jets 1 -+ sqrt(lt), lt = 1 - (lambda - 1)^2; read-only,
-    # since every call at this order shares them
-    one = np.eye(1, order + 1)[0]
-    root_lt = jet_sqrt(one - np.eye(1, order + 1, 2)[0])
-    out = np.stack([one - root_lt, one + root_lt])
-    out.setflags(write=False)
-    return out
-
-
-def _at_tilde(a):
-    # the jet a(lt): with lt - 1 = -(lambda - 1)^2, coefficient k moves
-    # to order 2k with sign (-1)^k and the odd orders vanish
-    out = np.zeros_like(a)
-    out[::2] = a[:(len(a) + 1) // 2]
+def _at_tilde(a, order):
+    # the lambda-jet to ``order`` of a(lt), from the jet a in u = lt - 1,
+    # which is -(lambda - 1)^2: coefficient k moves to order 2k with
+    # sign (-1)^k and the odd orders vanish, so a is read to order // 2
+    out = np.zeros((order + 1,) + a.shape[1:])
+    out[::2] = a[:order // 2 + 1]
     out[2::4] *= -1.0
     return out
 
@@ -109,33 +100,11 @@ def _exps(L, dL):
     return e, jet_mul(np.array(dL).swapaxes(0, 1), e)
 
 
-def _d1_of(I, dI, J, dJ):
-    # D1 and its s-derivative, from I and J at lt and their
-    # s-derivatives.  Assembled from pure exponentials: hyperbolics of
-    # mu times D2 would produce e^{J0}-sized intermediates cancelling
-    # down to tiny coefficients, while the exponents -I +- J only
-    # involve the much smaller coefficient differences.
-    e, de = _exps([-I, J - I, -(I + J)], [-dI, dJ - dI, -(dI + dJ)])
-    # axes: order, value or s-derivative, exponential, s...
-    e = np.array([e, de]).swapaxes(0, 1)
-    # the constant jets 1 -+ sqrt(lt), shaped to broadcast over the rest
-    pm = _one_pm_root_tilde(len(I) - 1).T.reshape(
-        (-1, 1, 2) + (1,) * (e.ndim - 3))
-    p = jet_mul(pm, e[:, :, 1:])
-    # (lambda - 1) e is e shifted up one order; + 0.0 turns the -0.0 of
-    # e[1] into the +0.0 that jet_mul would give
-    e0 = e[:, :, 0]
-    combo = np.concatenate([np.zeros_like(e0[:1]), e0[:-1]]) + 0.0 \
-        - 0.5 * p[:, :, 0] - 0.5 * p[:, :, 1]
-    # 1/(lambda - 2) = -sum_k (lambda - 1)^k
-    d = jet_mul(combo, np.full_like(pm[:, :, 0], -1.0))
-    return d[:, 0], d[:, 1]
-
-
-def _root_of(bundle, beta):
-    # the jet whose Taylor coefficients feed the telescoping sum, D2
-    # itself or the square root of D1/D4, and its s-derivative, from
-    # I' and J' = -q
+def _root_of(bundle, beta, order):
+    # the jet to lambda-order ``order`` whose Taylor coefficients feed
+    # the telescoping sum, D2 itself or the square root of D1/D4, and its
+    # s-derivative, from I' and J' = -q.  The bundle holds orders
+    # 0..order, or 0..order // 2 for beta = 1: D1 reads I and J at lt
     I, dI, J, dJ = bundle.I, bundle.Iprime, bundle.J, -bundle.q
     if beta == 2:
         e = jet_exp(-I)
@@ -145,8 +114,27 @@ def _root_of(bundle, beta):
         e, de = _exps([0.5 * (J - I), -0.5 * (I + J)],
                       [0.5 * (dJ - dI), -0.5 * (dI + dJ)])
         return 0.5 * (e[:, 0] + e[:, 1]), 0.5 * (de[:, 0] + de[:, 1])
-    # d/ds commutes with the substitution of lt
-    d1, dd1 = _d1_of(*(_at_tilde(a) for a in (I, dI, J, dJ)))
+    # D1 and its s-derivative from pure exponentials: hyperbolics of mu
+    # times D2 would produce e^{J0}-sized intermediates cancelling down
+    # to tiny coefficients, while the exponents -I +- J only involve the
+    # much smaller coefficient differences.  What is a function of lt is
+    # formed in u (d/ds commutes with that) and substituted once.
+    e, de = _exps([-I, J - I, -(I + J)], [-dI, dJ - dI, -(dI + dJ)])
+    # axes: order, value or s-derivative, exponential, s...
+    e = np.array([e, de]).swapaxes(0, 1)
+    # the constant jets 1 -+ sqrt(lt) = 1 -+ sqrt(1 + u), to broadcast
+    pm = np.multiply.outer(sqrt_lambda_coeffs(len(I) - 1), [-1.0, 1.0])
+    pm[0] += 1.0
+    p = jet_mul(pm.reshape((-1, 1, 2) + (1,) * (e.ndim - 3)), e[:, :, 1:])
+    e0, p0, p1 = np.moveaxis(
+        _at_tilde(np.concatenate([e[:, :, :1], p], axis=2), order), 2, 0)
+    # (lambda - 1) e is e shifted up one order; + 0.0 turns a -0.0 of e
+    # into the +0.0 that jet_mul would give
+    combo = np.concatenate([np.zeros_like(e0[:1]), e0[:-1]]) + 0.0 \
+        - 0.5 * p0 - 0.5 * p1
+    # 1/(lambda - 2) = -sum_k (lambda - 1)^k
+    d = jet_mul(combo, np.full_like(combo[:, :1], -1.0))
+    d1, dd1 = d[:, 0], d[:, 1]
     # columns where D1 underflows come out zero; 1 stands in for them
     ok = ~(d1[0] < _UNDERFLOW)
     root = jet_sqrt(np.where(ok, d1, 1.0))
@@ -168,9 +156,10 @@ def cdf(req, sol):
     """Tabulate F_beta(s, m) and its density f = dF/ds on the requested grid.
 
     F(s, m) = sum_{k < m} (-1)^k c_k reads only the Taylor coefficients
-    c_0..c_{m-1}, so only jet orders 0..m-1 are evaluated.  f is the
-    same sum over the s-derivatives of the c_k: exact to the jets at
-    each point, and independent of the rest of the grid.
+    c_0..c_{m-1}, so only jet orders 0..m-1 are evaluated, and
+    0..(m-1)//2 for beta = 1.  f is the same sum over the s-derivatives
+    of the c_k: exact to the jets at each point, and independent of the
+    rest of the grid.
 
     Parameters
     ----------
@@ -184,10 +173,16 @@ def cdf(req, sol):
     Raises
     ------
     ValueError
-        From ``sol.jets``: a capability error if m > jet_order + 1, or
-        a range error if the grid extends left of the solution.
+        A capability error if m > jet_order + 1, for every beta, before
+        any jet is read; from ``sol.jets``, a range error if the grid
+        extends left of the solution.
     """
-    root, droot = _root_of(sol.jets(req.s_grid, req.m - 1), req.beta)
+    order = req.m - 1
+    if order > sol.jet_order:
+        raise ValueError(f"capability error: jet order {order} requested, "
+                         f"the solution has {sol.jet_order}")
+    bundle = sol.jets(req.s_grid, order // 2 if req.beta == 1 else order)
+    root, droot = _root_of(bundle, req.beta, order)
     F = np.clip(_telescope(root, req.m), 0.0, 1.0)
     return DistTable(s=req.s_grid, F=F, f=_telescope(droot, req.m),
                      beta=req.beta, m=req.m)

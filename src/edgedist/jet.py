@@ -7,7 +7,8 @@ carried along and broadcast, so one call handles every point at once;
 a constant jet meant to broadcast against an (M+1, n) jet has shape
 (M+1, 1).  All operations close at order M: coefficient k of a result
 depends only on coefficients <= k of the operands.  Sums and scalar
-multiples are plain array arithmetic.
+multiples are plain array arithmetic.  ``sqrt_lambda_coeffs`` lists the
+jet of sqrt(lambda), for ``painleve``'s boundary data and ``dist``.
 """
 
 import math
@@ -87,6 +88,14 @@ def jet_exp(a):
             s = s + j * c[j] * out[k - j]
         out[k] = s / k
     return out
+
+
+def sqrt_lambda_coeffs(order):
+    """Taylor coefficients of sqrt(lambda) about lambda = 1 (binom(1/2, k))."""
+    b = [1.0]
+    for k in range(1, order + 1):
+        b.append(b[-1] * (0.5 - (k - 1)) / k)
+    return b
 
 
 def aj_recursion(n_max):

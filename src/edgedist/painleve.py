@@ -46,6 +46,7 @@ import scipy
 
 from . import specfun
 from .dist import _integer
+from .jet import sqrt_lambda_coeffs
 
 
 class SolverError(RuntimeError):
@@ -82,6 +83,8 @@ class SolverConfig:
         if not -math.inf < self.x_left < _PATCH_POINT:
             raise ValueError(f"x_left must be finite and < {_PATCH_POINT}, "
                              f"where the asymptotic expansion takes over")
+        # a float, so that equal values name one cache file
+        object.__setattr__(self, "x_left", float(self.x_left))
         object.__setattr__(self, "jet_order",
                            _integer("jet_order", self.jet_order))
         if self.jet_order < 0:
@@ -128,14 +131,6 @@ def q1_asymptotic(t):
     except OverflowError:
         raise ValueError("exponential overflow in q1 expansion") from None
     return pref / (2.0 * math.sqrt(2.0 * math.pi) * t ** 0.25) * bracket
-
-
-def sqrt_lambda_coeffs(order):
-    """Taylor coefficients of sqrt(lambda) about lambda = 1 (binom(1/2, k))."""
-    b = [1.0]
-    for k in range(1, order + 1):
-        b.append(b[-1] * (0.5 - (k - 1)) / k)
-    return b
 
 
 def boundary_jet(x, order=4):
@@ -283,9 +278,9 @@ class PainleveSolution:
         jet_order; a capability error outside 0..jet_order), shape
         (order + 1, s.size), with the same bits at any order; order 0
         reads no sweep.  Valid for s >= x_left (a range error
-        otherwise); beyond x_right the boundary jets take over, from
-        ``specfun.airy_tail``'s series (the solve's right-end data at
-        x_right itself are the closed forms of ``_tail_state``).
+        otherwise, and for NaN); beyond x_right the boundary jets take
+        over, from ``specfun.airy_tail``'s series (the solve's right-end
+        data at x_right itself are the closed forms of ``_tail_state``).
         """
         M = self.jet_order if order is None else order
         if not 0 <= M <= self.jet_order:
@@ -293,9 +288,9 @@ class PainleveSolution:
                              f"the solution has {self.jet_order}")
         s = np.asarray(s, dtype=float)
         cfg = self.config
-        if s.size and s.min() < cfg.x_left - 1e-12:
-            raise ValueError(f"range error: s = {s.min()} left of solved "
-                             f"domain [{cfg.x_left}, inf)")
+        if s.size and not s.min() >= cfg.x_left - 1e-12:
+            raise ValueError(f"range error: s = {s.min()} outside the "
+                             f"solved domain [{cfg.x_left}, inf)")
         tail = s > cfg.x_right
         if not tail.any():
             return JetBundle(*_evaluate(self._dense,

@@ -105,7 +105,8 @@ def edge_scale(raw_top, n):
 def _goe_matrix(rng, n):
     # diagonal variance 1, off-diagonal 1/2
     a = rng.standard_normal((n, n))
-    return (a + a.T) / 2.0
+    h = a + a.T
+    return np.divide(h, 2.0, out=h)
 
 
 def _gue_matrix(rng, n):

@@ -94,19 +94,19 @@ class TestJetIdentities:
 
     def test_d1_at_lambda_one(self, sol_default):
         b = sol_default.jet_at(-2.0)
-        c0 = dist._root_of(b, 1)[0][0] ** 2
+        c0 = dist._root_of(b, 1, 4)[0][0] ** 2
         ref = math.exp(-(b.I[0] + b.J[0]))
         assert abs(c0 - ref) <= 1e-12 * ref
 
     def test_d4_at_lambda_one(self, sol_default):
         b = sol_default.jet_at(-2.0)
-        r = dist._root_of(b, 4)[0]
+        r = dist._root_of(b, 4, 4)[0]
         c0 = jet.jet_mul(r, r)[0]
-        ref = dist._root_of(b, 2)[0][0] * math.cosh(0.5 * b.J[0]) ** 2
+        ref = dist._root_of(b, 2, 4)[0][0] * math.cosh(0.5 * b.J[0]) ** 2
         assert abs(c0 - ref) <= 1e-12 * ref
 
     def test_d2_value_against_quadrature(self, sol_default):
-        c0 = dist._root_of(sol_default.jet_at(-2.0), 2)[0][0]
+        c0 = dist._root_of(sol_default.jet_at(-2.0), 2, 4)[0][0]
         assert abs(c0 - oracle.nystrom_d2(-2.0)) <= 1e-9
 
     def test_d2_derivative_against_quadrature(self, sol_default):
@@ -114,14 +114,14 @@ class TestJetIdentities:
         h = 1e-3
         v = [oracle.nystrom_d2(-2.0, lam=1.0 - k * h) for k in range(3)]
         fd = (3.0 * v[0] - 4.0 * v[1] + v[2]) / (2.0 * h)
-        c1 = dist._root_of(sol_default.jet_at(-2.0), 2)[0][1]
+        c1 = dist._root_of(sol_default.jet_at(-2.0), 2, 4)[0][1]
         assert abs(c1 - fd) <= 1e-8
 
     def test_d4_derivative_against_quadrature(self, sol_default):
         # sqrt(D4) = E_4(0; s) + t E_4(1; s) + ..., t = 1 - lambda, so
         # dD4/dlambda = -2 E_4(0; s) E_4(1; s) at lambda = 1
         e = oracle.edge_probabilities(-2.0, 4, 2, 120)
-        r = dist._root_of(sol_default.jet_at(-2.0), 4)[0]
+        r = dist._root_of(sol_default.jet_at(-2.0), 4, 4)[0]
         c1 = jet.jet_mul(r, r)[1]
         assert abs(c1 + 2.0 * e[0] * e[1]) <= 1e-8
 
@@ -129,28 +129,52 @@ class TestJetIdentities:
         # lt - 1 = -(lambda - 1)^2 kills the odd orders
         b = sol_default.jet_at(-2.0)
         i0, i1, i2 = b.I[:3]
-        assert dist._at_tilde(b.I).tolist() == [i0, 0.0, -i1, 0.0, i2]
+        assert dist._at_tilde(b.I, 4).tolist() == [i0, 0.0, -i1, 0.0, i2]
+        # u-order k feeds lambda-orders 2k and 2k + 1 alone
+        assert dist._at_tilde(b.I[:2], 3).tolist() == [i0, 0.0, -i1, 0.0]
         # gridded jets substitute column by column
         grid = sol_default.jets(np.array([-2.0, 1.0])).J
-        assert np.array_equal(dist._at_tilde(grid)[:, :1],
-                              dist._at_tilde(grid[:, 0])[:, None])
+        assert np.array_equal(dist._at_tilde(grid, 4)[:, :1],
+                              dist._at_tilde(grid[:, 0], 4)[:, None])
 
 
 class TestCdf:
-    def test_m_beyond_jet_order(self, sol_default, sol_order2):
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_m_beyond_jet_order(self, sol_default, sol_order2, beta):
         # F(s, m) reads coefficients 0..m-1: jet order M serves m <= M + 1
+        # for every beta, although beta = 1 reads only jet orders < m / 2
         grid = np.linspace(-5.0, 5.0, 11)
         for sol in (sol_default, sol_order2):
-            req = DistRequest(beta=2, m=sol.jet_order + 2, s_grid=grid)
-            with pytest.raises(ValueError, match="capability error"):
+            req = DistRequest(beta=beta, m=sol.jet_order + 2, s_grid=grid)
+            with pytest.raises(ValueError, match="^capability error: jet "
+                               f"order {sol.jet_order + 1} requested, the "
+                               f"solution has {sol.jet_order}$"):
                 dist.cdf(req, sol)
 
-    def test_m_at_jet_order_plus_one(self, sol_default, sol_order2):
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_m_at_jet_order_plus_one(self, sol_default, sol_order2, beta):
         grid = np.linspace(-5.0, 5.0, 11)
         for sol in (sol_default, sol_order2):
             m = sol.jet_order + 1
-            table = dist.cdf(DistRequest(beta=2, m=m, s_grid=grid), sol)
+            table = dist.cdf(DistRequest(beta=beta, m=m, s_grid=grid), sol)
             assert table.m == m and np.all(np.isfinite(table.F))
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_jet_orders_read(self, sol_default, monkeypatch, beta):
+        # beta = 1 reads I and J at lt, whose lambda-jets to order m - 1
+        # are u-jets to order (m - 1) // 2; beta 2 and 4 read m - 1
+        orders, jets = [], sol_default.jets
+
+        def record(s, order=None):
+            orders.append(order)
+            return jets(s, order)
+
+        monkeypatch.setattr(sol_default, "jets", record)
+        grid = np.linspace(-5.0, 5.0, 11)
+        for m in range(1, 6):
+            dist.cdf(DistRequest(beta=beta, m=m, s_grid=grid), sol_default)
+        assert orders == [(m - 1) // 2 if beta == 1 else m - 1
+                          for m in range(1, 6)]
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_m1_same_bits_at_jet_order_0(self, sol_default, sol_order0,
@@ -223,18 +247,21 @@ class TestCdf:
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_root_reads_only_lower_orders(self, sol_wide, beta):
-        # cdf reads the jets to orders < m only; each coefficient of the
-        # root and of its s-derivative must be the full-order one, bit
-        # for bit, inside the solved domain, in the tail and on
-        # single-point jets
+        # the root to lambda-order k reads the jets to order k, or to
+        # order k // 2 for beta = 1; each coefficient of the root and of
+        # its s-derivative must be the full-order one, bit for bit,
+        # inside the solved domain, in the tail and on single-point jets.
+        # Five jet orders feed beta = 1's root to lambda-order 9.
+        top = 9 if beta == 1 else 4
         bundles = [sol_wide.jets(np.linspace(-13.5, 9.5, 461))]
         bundles += [sol_wide.jet_at(s) for s in (-12.0, -4.0, 0.5, 8.0)]
         for b in bundles:
-            whole = dist._root_of(b, beta)
-            for m in range(1, 5):
-                cut = painleve.JetBundle(*(a[:m] for a in b))
-                for part, full in zip(dist._root_of(cut, beta), whole):
-                    assert part.tobytes() == full[:m].tobytes()
+            whole = dist._root_of(b, beta, top)
+            for k in range(top + 1):
+                n = (k // 2 if beta == 1 else k) + 1
+                cut = painleve.JetBundle(*(a[:n] for a in b))
+                for part, full in zip(dist._root_of(cut, beta, k), whole):
+                    assert part.tobytes() == full[:k + 1].tobytes()
 
     @pytest.mark.parametrize("beta, m", [(b, m) for b in (1, 2, 4)
                                          for m in (1, 2, 3, 4)

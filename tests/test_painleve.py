@@ -47,6 +47,7 @@ class TestConfig:
         cfg = SolverConfig(x_left=-11, jet_order=np.int64(2))
         assert (cfg.x_left, cfg.jet_order) == (-11, 2)
         assert type(cfg.jet_order) is int
+        assert type(cfg.x_left) is float
 
     def test_shallow_left_end_rejected(self):
         # the asymptotic anchor needs -2*x_left inside the series range,
@@ -251,6 +252,20 @@ class TestSolutionAccess:
             with pytest.raises(ValueError, match="capability error"):
                 sol_default.jets(s, k)
 
+    def test_non_finite_points_refused(self, sol_default):
+        # a NaN anywhere is out of the domain, as -inf is; +inf is
+        # refused by the Airy tails
+        for s in ([math.nan], [1.0, math.nan], [math.nan, 8.0], [-math.inf]):
+            with pytest.raises(ValueError, match="^range error"):
+                sol_default.jets(np.array(s))
+        for s in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match="^range error"):
+                sol_default.jet_at(s)
+        for call in (lambda: sol_default.jets([1.0, math.inf]),
+                     lambda: sol_default.jet_at(math.inf)):
+            with pytest.raises(ValueError):
+                call()
+
 def _sha(sol, s):
     # one digest over all five jet fields at the points s
     h = hashlib.sha256()
@@ -299,6 +314,16 @@ class TestSolutionCache:
         s = np.concatenate([np.linspace(x_left, 12.0, 2001),
                             [x_left, 6.0, 6.0 + 1e-9]])
         assert _sha(cached, s) == _sha(fresh, s)
+
+    def test_equal_configs_share_one_file(self):
+        # x_left is stored as a float: equal values name one file, and
+        # the served -13.5 keeps its name
+        paths = {painleve._cache_path(SolverConfig(x_left=x))
+                 for x in (-11, -11.0, np.float64(-11.0))}
+        assert len(paths) == 1
+        assert paths.pop().endswith("-x-11.0-j4.npz")
+        assert painleve._cache_path(SolverConfig(
+            x_left=np.float64(-13.5))).endswith("-x-13.5-j4.npz")
 
     def test_configs_are_not_served_for_each_other(self, root):
         configs = [SolverConfig(jet_order=0), SolverConfig(x_left=-10.5,

@@ -35,11 +35,13 @@ this script from the tools/ folder of each and diff the outputs.
 The set: the jets of q, q', I, I', J and the diagnostics (without the
 cache state) of the solves (x_left, jet order) = (-13.5, 4), (-10, 0)
 and (-20.25, 1), on 4,004 points of [x_left, 12] plus 6, 6 + 1e-9 and
-12; F and f of all 12 (beta, m) pairs from the (-13.5, 4) solve on the
-1201-, 1801-, 191-, 451-, 2001- and 201-point grids, and
-``dist.moments`` of the 1801-, 2001- and 201-point tables, and the
-repr of ``dist.interlacing_residual`` for m = 1, 2 on the 1901-point
-grid of [-13, 6] that ``verify --check interlacing`` reads;
+12; F and f of every (beta, m <= 5) from the (-13.5, 4) solve on the
+1201-, 1801-, 191-, 451-, 2001- and 201-point grids, and of every
+(beta, m <= jet order + 1) from the other two solves on the 1201-point
+grid, so that beta = 1 reads jet orders 0-2 on those three solves;
+``dist.moments`` of the 1801-, 2001- and 201-point tables for m <= 4,
+and the repr of ``dist.interlacing_residual`` for m = 1, 2 on the
+1901-point grid of [-13, 6] that ``verify --check interlacing`` reads;
 ``specfun.airy_tail`` on [6, 60]; ``specfun.airy`` on 7,401 points
 of [-14, 60], as a line for x < -8 and one for x >= -8;
 ``specfun.airy_kernel`` on a grid of 60 nodes of [-8, 12] and on one
@@ -127,12 +129,23 @@ def main(argv):
     for grid_name, (lo, hi, n) in GRIDS.items():
         grid = np.linspace(lo, hi, n)
         for beta in (1, 2, 4):
-            for m in range(1, 5):
+            for m in range(1, 6):
                 t = dist.cdf(dist.DistRequest(beta=beta, m=m, s_grid=grid),
                              sol)
                 tables[grid_name, beta, m] = t
                 split_line(f"F {grid_name} beta={beta} m={m}", grid, t.F)
                 split_line(f"f {grid_name} beta={beta} m={m}", grid, t.f)
+    # every (beta, m) the two other solves serve, on the table grid
+    grid = np.linspace(*GRIDS["table"])
+    for x_left, order in SOLVES[1:]:
+        for beta in (1, 2, 4):
+            for m in range(1, order + 2):
+                t = dist.cdf(dist.DistRequest(beta=beta, m=m, s_grid=grid),
+                             sols[x_left, order])
+                tag = f"table x{x_left!r} j{order} beta={beta} m={m}"
+                line(f"F {tag}", t.F)
+                line(f"f {tag}", t.f)
+
     def stats(table):
         # the (4, 4) density is wrong in the left tail (ROADMAP item 2),
         # and on a coarse grid its variance can come out negative
