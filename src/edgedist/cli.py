@@ -27,8 +27,9 @@ _ENSEMBLE_BETA = {"goe": 1, "gue": 2, "gse": 4, "wishart": 1}
 # outside it (1 - F_1(12, 1) is about 2e-14); needed by the moment
 # quadrature.  The served solve starts half a unit further left.
 _MOMENT_GRID = np.linspace(-13.0, 12.0, 2001)
-_X_LEFT = -13.5
 _TABLE_GRID = (-13.0, 6.0, 0.01)
+# the furthest left a grid may start: solves from -34 on fail in the sweep
+_MIN_S = -32.0
 # the largest m served per beta: F_4(s, 4) from the solve's jets has a
 # negative density and falls below F_4(s, 3) (ROADMAP item 2)
 _MAX_M = {1: 4, 2: 4, 4: 3}
@@ -109,10 +110,14 @@ def _csv(columns, rows):
 
 def _tables(beta, ms, grid):
     """F_beta(s, m) on ``grid`` for each m, from the one served solve:
-    x_left = min(_X_LEFT, grid[0]) at the default jet order, for every m.
-    ValueError before the solve for an m above that order, then for one
-    above ``_MAX_M[beta]``."""
-    cfg = painleve.SolverConfig(x_left=min(_X_LEFT, float(grid[0])))
+    ``SolverConfig()``, its x_left moved to grid[0] if that lies further
+    left.  ValueError before the solve for a grid left of ``_MIN_S``, an
+    m above the jet order, then one above ``_MAX_M[beta]``."""
+    if grid[0] < _MIN_S:
+        raise ValueError(f"s = {_fmt(grid[0])} lies left of {_fmt(_MIN_S)}, "
+                         f"the furthest left the solve reaches")
+    default = painleve.SolverConfig.x_left
+    cfg = painleve.SolverConfig(x_left=min(default, float(grid[0])))
     m_max = max(ms)
     if m_max > cfg.jet_order:
         raise ValueError(f"m = {m_max} exceeds the solver jet order "
@@ -295,11 +300,10 @@ def _verify_aj():
 
 
 def _verify_oracle():
-    # I_0 and J_0 only: the order-0 solve
+    # I_0 and J_0 of the served solve and of its lambda = 0.5 sweep
     pts = (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0)
-    cfg = painleve.SolverConfig(jet_order=0)
-    sol = painleve.solve(cfg)
-    half = painleve.solve_at_lambda(0.5, cfg)
+    sol = painleve.solve()
+    half = painleve.solve_at_lambda(0.5)
     r1, r2 = (max(abs(math.exp(-d.jet_at(s).I[0])
                       - oracle.nystrom_d2(s, lam, 200)) for s in pts)
               for d, lam in ((sol, 1.0), (half, 0.5)))
@@ -315,7 +319,7 @@ def _verify_oracle():
 
 def _verify_asymptotics():
     # reads q at orders 0 and 1
-    sol = painleve.solve(painleve.SolverConfig())
+    sol = painleve.solve()
     b = sol.jet_at(-8.0)
     q0_ref = painleve.q0_asymptotic(16.0)
     q1_ref = painleve.q1_asymptotic(16.0)
@@ -327,19 +331,21 @@ def _verify_asymptotics():
 
 def _verify_interlacing():
     # F_1(s, 4) on the default table grid [-13, 6], from the served solve
-    sol = painleve.solve(painleve.SolverConfig(x_left=_X_LEFT))
+    sol = painleve.solve()
     grid = _grid(*_TABLE_GRID)
     r1, r2 = (dist.interlacing_residual(m, sol, grid) for m in (1, 2))
     return [("sup |F4(s,1) - F1(s,2)| on [-13, 6]", r1, 1e-5),
             ("sup |F4(s,2) - F1(s,4)| on [-13, 6]", r2, 1e-4)]
 
 
+_CHECKS = {"aj": _verify_aj, "oracle": _verify_oracle,
+           "asymptotics": _verify_asymptotics,
+           "interlacing": _verify_interlacing}
+
+
 def cmd_verify(args):
-    checks = {"aj": _verify_aj, "oracle": _verify_oracle,
-              "asymptotics": _verify_asymptotics,
-              "interlacing": _verify_interlacing}
     rows = [(label, float(resid), tol)
-            for label, resid, tol in checks[args.check]()]
+            for label, resid, tol in _CHECKS[args.check]()]
     ok = all(resid <= tol for _, resid, tol in rows)
     doc = {"check": args.check, "passed": ok,
            "results": [{"label": label, "residual": resid, "threshold": tol}
@@ -414,8 +420,7 @@ def build_parser():
     sp.set_defaults(func=cmd_percentiles)
 
     sp = sub.add_parser("verify", help="cross-checks with thresholds")
-    sp.add_argument("--check", required=True,
-                    choices=("aj", "oracle", "asymptotics", "interlacing"))
+    sp.add_argument("--check", required=True, choices=tuple(_CHECKS))
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_verify)
     return ap

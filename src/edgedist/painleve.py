@@ -8,7 +8,8 @@ eps = lambda - 1 through the solve together with the auxiliary integrals
 
 which every closed-form determinant downstream consumes.  The order-0
 problem is nonlinear; each higher jet order satisfies a linear
-variational equation driven by the lower orders.
+variational equation driven by the lower orders.  The solves carry q';
+a solution keeps q, I, I' and J, all that the determinants read.
 
 Strategy: an adaptive Runge-Kutta sweep from the right boundary gives a
 first approximation down to the patch point, the asymptotic expansions
@@ -62,18 +63,21 @@ _PATCH_POINT = -8.0
 _MESH_STEP = 0.005
 _BVP_TOL = 1e-10
 _SWEEP_RTOL = 1e-12
+# the states of the solves, q, q', I, I', J, that a solution keeps
+_SERVED = [0, 2, 3, 4]
 
 # Layout version of the solution cache's files; part of the code key,
 # with the bytes of these sources
-_CACHE_FORMAT = 3
+_CACHE_FORMAT = 4
 _CACHE_SOURCES = (__file__, specfun.__file__)
 
 
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
-    """Left end of the solve interval and highest lambda-jet order."""
+    """Left end of the solve interval and highest lambda-jet order; the
+    default is the solve that every CLI command reads."""
     x_right: ClassVar[float] = 6.0
-    x_left: float = -10.0
+    x_left: float = -13.5
     jet_order: int = 4
 
     def __post_init__(self):
@@ -148,9 +152,8 @@ def boundary_jet(x, order=4):
 
 
 class JetBundle(NamedTuple):
-    """Jets of q, q', I, I', J; each field an array with the order on axis 0."""
+    """Jets of q, I, I', J; each field an array with the order on axis 0."""
     q: np.ndarray
-    qprime: np.ndarray
     I: np.ndarray
     Iprime: np.ndarray
     J: np.ndarray
@@ -158,7 +161,8 @@ class JetBundle(NamedTuple):
 
 class _Spline(NamedTuple):
     """The order-0 collocation spline: cubic pieces ``c`` of shape
-    (4, n - 1, 5), highest power first, on the n breakpoints ``x``.
+    (4, n - 1, 4), highest power first, on the n breakpoints ``x``; the
+    states are q, I, I', J.
 
     Evaluates as the ``PPoly`` that ``solve_bvp`` returns, with the same
     floating-point operations in the same order, so the values are
@@ -168,7 +172,7 @@ class _Spline(NamedTuple):
     x: np.ndarray
 
     def __call__(self, t):
-        """States at a 1-d array of points, shape (5, t.size)."""
+        """States at a 1-d array of points, shape (4, t.size)."""
         # PPoly breaks ties at a breakpoint towards the piece that starts
         # there, and extrapolates the end pieces
         i = np.searchsorted(self.x[1:-1], t, "right")
@@ -196,10 +200,10 @@ class _Dop853Dense(NamedTuple):
     F: np.ndarray
 
     @classmethod
-    def from_solution(cls, sol):
-        """Stack the step data of ``OdeSolution`` ``sol``; SolverError
-        unless it runs right to left and every interpolant is scipy's
-        DOP853 dense output."""
+    def from_solution(cls, sol, columns=slice(None)):
+        """Stack the step data of ``OdeSolution`` ``sol``, of the states
+        that ``columns`` indexes; SolverError unless it runs right to
+        left and every interpolant is scipy's DOP853 dense output."""
         kinds = {type(d).__name__ for d in sol.interpolants}
         if kinds != {"Dop853DenseOutput"}:
             raise SolverError(f"jet sweep: expected DOP853 dense output, "
@@ -208,8 +212,8 @@ class _Dop853Dense(NamedTuple):
             raise SolverError("jet sweep: expected a right-to-left solve")
         ts, steps = sol.ts[::-1], sol.interpolants[::-1]
         return cls(ts=np.array(ts),
-                   y_old=np.array([d.y_old for d in steps]),
-                   F=np.stack([d.F for d in steps], axis=1))
+                   y_old=np.array([d.y_old for d in steps])[:, columns],
+                   F=np.stack([d.F for d in steps], axis=1)[..., columns])
 
     def __call__(self, t, n=None):
         """States at a 1-d array of points, shape (n_states, t.size);
@@ -234,13 +238,13 @@ class _Dop853Dense(NamedTuple):
 
 
 def _evaluate(dense, x, order):
-    """(5, order + 1, x.size) jets from the order-0 interpolant and, for
-    order >= 1, the dense output of the jet sweep, whose states are q,
-    q', I, I', J of order 1, then of order 2, and so on."""
+    """(4, order + 1, x.size) jets of q, I, I', J from the order-0
+    interpolant and, for order >= 1, the dense output of the jet sweep,
+    whose states are q, I, I', J of order 1, then of order 2, and so on."""
     d0 = dense[0](x)[:, None, :]
     if order == 0:
         return d0
-    d = dense[1](x, 5 * order).reshape(order, 5, x.size)
+    d = dense[1](x, 4 * order).reshape(order, 4, x.size)
     return np.concatenate([d0, d.transpose(1, 0, 2)], axis=1)
 
 
@@ -272,7 +276,7 @@ class PainleveSolution:
         return self.config.jet_order
 
     def jets(self, s, order=None):
-        """Jets of q, q', I, I', J at every point of a 1-d array.
+        """Jets of q, I, I', J at every point of a 1-d array.
 
         Each field of the returned bundle holds orders 0..order (default
         jet_order; a capability error outside 0..jet_order), shape
@@ -295,7 +299,7 @@ class PainleveSolution:
         if not tail.any():
             return JetBundle(*_evaluate(self._dense,
                                         np.maximum(s, cfg.x_left), M))
-        out = np.empty((5, M + 1, s.size))
+        out = np.empty((4, M + 1, s.size))
         if not tail.all():
             inner = np.maximum(s[~tail], cfg.x_left)
             out[..., ~tail] = _evaluate(self._dense, inner, M)
@@ -304,7 +308,7 @@ class PainleveSolution:
         return JetBundle(*out)
 
     def jet_at(self, s):
-        """Jets of q, q', I, I', J at one point; each field has shape
+        """Jets of q, I, I', J at one point; each field has shape
         (jet_order + 1,).  See ``jets``."""
         return JetBundle(*(a[:, 0] for a in self.jets([float(s)])))
 
@@ -319,23 +323,24 @@ def _tail_columns(order, lam):
 
 
 def _scale_tails(tails, r, lam):
-    # (q, q', I, I', J) from the Airy tails (Ai, Ai', T, V, W), where
-    # q = r Ai with r^2 = lam: I and I' are lam T and -lam V, J is r W
-    ai, aip, T, V, W = tails
-    return r * ai, r * aip, lam * T, -lam * V, r * W
+    # (q, I, I', J) from the Airy tails (Ai, Ai', T, V, W), where q = r Ai
+    # with r^2 = lam: I and I' are lam T and -lam V, J is r W
+    ai, _, T, V, W = tails
+    return r * ai, lam * T, -lam * V, r * W
 
 
 def _tail_state(x, r, lam):
-    # the solves' right-end data at the point x: ``_scale_tails`` of Ai
-    # and Ai' from ``scipy.special.airy``, T = -(1/3) Ai Ai' - (2/3) x
-    # Ai'^2 + (2/3) x^2 Ai^2 and V = Ai'^2 - x Ai^2 in closed form, and W
-    # from ``specfun.ai_tail``; these closed forms fix every solve's bits
+    # the solves' right-end data (q, q', I, I', J) at the point x: r Ai'
+    # and ``_scale_tails`` of Ai and Ai' from ``scipy.special.airy``, T =
+    # -(1/3) Ai Ai' - (2/3) x Ai'^2 + (2/3) x^2 Ai^2 and V = Ai'^2 - x Ai^2
+    # in closed form, and W from ``specfun.ai_tail``; they fix the bits
     from scipy import special
     ai, aip, _, _ = special.airy(x)
     T = -(ai * aip) / 3.0 - (2.0 / 3.0) * x * aip * aip \
         + (2.0 / 3.0) * x * x * ai * ai
     V = aip * aip - x * ai * ai
-    return _scale_tails((ai, aip, T, V, specfun.ai_tail(x)), r, lam)
+    q, I, ip, J = _scale_tails((ai, aip, T, V, specfun.ai_tail(x)), r, lam)
+    return q, r * aip, I, ip, J
 
 
 def solve_at_lambda(lam, config=None):
@@ -362,8 +367,8 @@ def solve_at_lambda(lam, config=None):
                               rtol=_SWEEP_RTOL, atol=1e-20, dense_output=True)
     if not res.success:
         raise SolverError(f"deformed sweep failed: {res.message}")
-    return PainleveSolution(cfg, [_Dop853Dense.from_solution(res.sol)], {},
-                            lam)
+    dense = _Dop853Dense.from_solution(res.sol, _SERVED)
+    return PainleveSolution(cfg, [dense], {}, lam)
 
 
 def solve(config=None):
@@ -428,11 +433,11 @@ def _load(cfg):
         with np.load(_cache_path(cfg), allow_pickle=False) as z:
             a = {name: z[name] for name in z.files}
         n = a["x"].size
-        shapes = {"key": (3,), "residual": (), "x": (n,), "c": (4, n - 1, 5)}
+        shapes = {"key": (3,), "residual": (), "x": (n,), "c": (4, n - 1, 4)}
         if M:
             k = a["ts"].size - 1
-            shapes.update(ts=(k + 1,), y_old=(k, 5 * M),
-                          F=a["F"].shape[:1] + (k, 5 * M))
+            shapes.update(ts=(k + 1,), y_old=(k, 4 * M),
+                          F=a["F"].shape[:1] + (k, 4 * M))
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         return None
     breaks = [a[f] for f in ("x", "ts") if f in shapes]
@@ -507,8 +512,7 @@ def _solve(cfg):
 
     n_init = min(int(round((xr - xl) / _MESH_STEP)) + 1, 4001)
     xs = np.linspace(xl, xr, n_init)
-    qg = np.empty_like(xs)
-    qpg = np.empty_like(xs)
+    qg, qpg = np.empty((2, xs.size))
     right = xs >= _PATCH_POINT
     qg[right], qpg[right] = ivp.sol(xs[right])
     qg[~right] = [q0_asymptotic(-2.0 * x) for x in xs[~right]]
@@ -530,9 +534,8 @@ def _solve(cfg):
     def jac0(x, y):
         q = y[0]
         J = np.zeros((5, 5, x.size))
-        J[0, 1] = 1.0
+        J[0, 1] = J[2, 3] = 1.0
         J[1, 0] = x + 6.0 * q * q
-        J[2, 3] = 1.0
         J[3, 0] = 2.0 * q
         J[4, 0] = -1.0
         return J
@@ -544,13 +547,9 @@ def _solve(cfg):
                          yb[2] - i_r, yb[3] - ip_r, yb[4] - j_r])
 
     def bc0_jac(ya, yb):
-        dya = np.zeros((5, 5))
-        dyb = np.zeros((5, 5))
+        dya, dyb = np.zeros((2, 5, 5))
         dya[0, 0] = 1.0
-        dyb[1, 0] = 1.0
-        dyb[2, 2] = 1.0
-        dyb[3, 3] = 1.0
-        dyb[4, 4] = 1.0
+        dyb[[1, 2, 3, 4], [0, 2, 3, 4]] = 1.0
         return dya, dyb
 
     res = integrate.solve_bvp(fun0, bc0, xs, np.vstack([qg, qpg, ig, ipg, jg]),
@@ -559,7 +558,7 @@ def _solve(cfg):
     if res.status != 0:
         raise SolverError(f"order-0 collocation failed: {res.message}; "
                           f"max residual {res.rms_residuals.max():.3e}")
-    dense = [_Spline(res.sol.c, res.sol.x)]
+    dense = [_Spline(res.sol.c[..., _SERVED], res.sol.x)]
     diagnostics["order0"] = {"nodes": res.x.size,
                              "max_rms_residual": float(res.rms_residuals.max())}
 
@@ -590,10 +589,8 @@ def _solve(cfg):
             # Cauchy products (q^2)_k and (q^3)_k, k = 0..M
             sq = np.convolve(qj, qj)[:M + 1]
             cube = np.convolve(sq, qj)
-            dy = np.empty((5, M))
-            dy[0], dy[1], dy[2] = qp, x * q + 2.0 * cube[1:M + 1], ip
-            dy[3], dy[4] = sq[1:], -q
-            return dy.ravel()
+            return np.concatenate([qp, x * q + 2.0 * cube[1:M + 1], ip,
+                                   sq[1:], -q])
 
         # + 0.0 starts the zero I' of orders >= 2 at +0.0, not -0.0
         sweep = integrate.solve_ivp(rhs, (xr, xl), tail[:, 1:].ravel() + 0.0,
@@ -602,11 +599,9 @@ def _solve(cfg):
                                     dense_output=True)
         if not sweep.success:
             raise SolverError(f"jet sweep failed: {sweep.message}")
-        # reorder the states by jet order, so orders 1..k are a prefix
-        d = _Dop853Dense.from_solution(sweep.sol)
-        by_order = np.arange(5 * M).reshape(5, M).T.ravel()
-        dense.append(d._replace(y_old=d.y_old[:, by_order],
-                                F=d.F[..., by_order]))
+        # the served states by jet order, so orders 1..k are a prefix
+        by_order = np.arange(5 * M).reshape(5, M)[_SERVED].T.ravel()
+        dense.append(_Dop853Dense.from_solution(sweep.sol, by_order))
         diagnostics["sweep"] = {"steps": sweep.t.size}
 
     return PainleveSolution(cfg, dense, diagnostics)

@@ -23,14 +23,9 @@ def solution_cache(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def sol_default():
-    return painleve.solve()
-
-
-@pytest.fixture(scope="session")
-def sol_wide():
     # the CLI's served solve: it covers the default table grid [-13, 6]
     # and the moment grid
-    return painleve.solve(painleve.SolverConfig(x_left=-13.5))
+    return painleve.solve()
 
 
 @pytest.fixture(scope="session")
@@ -51,12 +46,12 @@ def sol_deep():
 
 
 @pytest.fixture(scope="session")
-def beta1_tables(sol_wide):
+def beta1_tables(sol_default):
     return [dist.cdf(dist.DistRequest(beta=1, m=m, s_grid=MOMENT_GRID),
-                     sol_wide) for m in range(1, 5)]
+                     sol_default) for m in range(1, 5)]
 
 
 @pytest.fixture(scope="session")
-def beta2_tables(sol_wide):
+def beta2_tables(sol_default):
     return [dist.cdf(dist.DistRequest(beta=2, m=m, s_grid=MOMENT_GRID),
-                     sol_wide) for m in (1, 2)]
+                     sol_default) for m in (1, 2)]

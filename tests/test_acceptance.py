@@ -137,11 +137,11 @@ def test_reference_rows():
             assert tuple(round(v, 6) for v in got) == row, (beta, got)
 
 
-def test_3_interlacing(sol_wide, verdict):
+def test_3_interlacing(sol_default, verdict):
     # the CLI's default table grid, which `verify --check interlacing`
     # reads too
     grid = cli._grid(*cli._TABLE_GRID)
-    r1, r2 = (dist.interlacing_residual(m, sol_wide, grid) for m in (1, 2))
+    r1, r2 = (dist.interlacing_residual(m, sol_default, grid) for m in (1, 2))
     ok = r1 <= 1e-5 and r2 <= 1e-4
     verdict(3, "interlacing F4(s,m) = F1(s,2m) on [-13, 6]", ok,
              f"sup m=1 {r1:.2e} (tol 1e-05), m=2 {r2:.2e} (tol 1e-04)")
@@ -237,12 +237,12 @@ def test_8_goe_edge_ks(beta1_tables, verdict):
     assert worst <= 0.05
 
 
-def test_9_property_suite(sol_wide, beta1_tables, beta2_tables, tmp_path,
+def test_9_property_suite(sol_default, beta1_tables, beta2_tables, tmp_path,
                           verdict):
     problems = []
 
     beta4_tables = [dist.cdf(dist.DistRequest(beta=4, m=m,
-                                              s_grid=MOMENT_GRID), sol_wide)
+                                              s_grid=MOMENT_GRID), sol_default)
                     for m in (1, 2)]
     families = {1: beta1_tables, 2: beta2_tables, 4: beta4_tables}
     worst_int = 0.0
@@ -261,8 +261,9 @@ def test_9_property_suite(sol_wide, beta1_tables, beta2_tables, tmp_path,
             if np.any(hi.F < lo.F - 1e-12):
                 problems.append(f"rank ordering beta={beta}")
 
-    x = np.linspace(sol_wide.config.x_left, sol_wide.config.x_right, 3901)
-    q0 = sol_wide.jets(x).q[0]
+    cfg = sol_default.config
+    x = np.linspace(cfg.x_left, cfg.x_right, 3901)
+    q0 = sol_default.jets(x).q[0]
     h = x[1] - x[0]
     idx = np.linspace(2, x.size - 3, 200).astype(int)
     qxx = (-q0[idx - 2] + 16 * q0[idx - 1] - 30 * q0[idx]

@@ -189,6 +189,25 @@ class TestArgumentErrors:
             assert capsys.readouterr().err == (f"error: --s must be "
                                                f"finite, got {s}\n")
 
+    def test_far_left_grid_refused(self, capsys, monkeypatch):
+        # refused before any solve, naming the bound: solves from x_left
+        # = -34 and further left fail in the jet sweep after seconds of
+        # work; -32 is served
+        monkeypatch.setattr(painleve, "solve", _no_solve)
+        for grid, left in ((["--s", "-40"], "-40"),
+                           (["--s-min", "-32.5", "--s-max", "0"], "-32.5")):
+            assert cli.main(["table", "--beta", "2", *grid]) == 2
+            assert capsys.readouterr() == ("", f"error: s = {left} lies left "
+                                           f"of -32, the furthest left the "
+                                           f"solve reaches\n")
+        # the Tracy-Widom table reads F_4 at sqrt(2) s
+        tw = ["table", "--beta", "4", "--tw-convention", "--s"]
+        assert cli.main([*tw, "-23"]) == 2
+        assert "lies left of -32," in capsys.readouterr().err
+        for argv in (["table", "--beta", "2", "--s", "-32"], [*tw, "-22.6"]):
+            with pytest.raises(AssertionError, match="solved before"):
+                cli.main(argv)
+
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     def test_seed_out_of_range(self, capsys, seed):
         # a usage error, not an OverflowError from the generator key
@@ -274,7 +293,7 @@ class TestArgumentErrors:
             cli.main([*argv, "--beta", "1"])
 
 
-def test_served_pairs_are_the_sound_ones(sol_wide):
+def test_served_pairs_are_the_sound_ones(sol_default):
     # the capability table is the evidence: on the CLI's moment grid,
     # from the same solve, every pair it serves has f >= -1e-10, F
     # nondecreasing in s and F(s, m) >= F(s, m - 1) within 1e-10 (the
@@ -283,8 +302,8 @@ def test_served_pairs_are_the_sound_ones(sol_wide):
     for beta in (1, 2, 4):
         below = np.zeros_like(cli._MOMENT_GRID)
         for m in range(1, 5):
-            t = dist.cdf(dist.DistRequest(beta=beta, m=m,
-                                          s_grid=cli._MOMENT_GRID), sol_wide)
+            req = dist.DistRequest(beta=beta, m=m, s_grid=cli._MOMENT_GRID)
+            t = dist.cdf(req, sol_default)
             sound = (t.f.min() >= -1e-10 and np.diff(t.F).min() >= -1e-10
                      and (t.F - below).min() >= -1e-10)
             assert sound == (m <= cli._MAX_M[beta]), (beta, m)
@@ -295,8 +314,8 @@ def test_served_pairs_are_the_sound_ones(sol_wide):
     (["table", "--beta", "2", "--m", "1", "--s", "0"], -13.5, 4),
     (["table", "--beta", "2", "--m", "1,2", "--s", "0"], -13.5, 4),
     (["moments", "--beta", "2", "--m", "1"], -13.5, 4),
-    (["verify", "--check", "oracle"], -10.0, 0),
-    (["verify", "--check", "asymptotics"], -10.0, 4),
+    (["verify", "--check", "oracle"], -13.5, 4),
+    (["verify", "--check", "asymptotics"], -13.5, 4),
     (["verify", "--check", "interlacing"], -13.5, 4),
     (["table", "--beta", "2", "--m", "1,2", "--s-min", "-18", "--s-max",
       "9.5", "--s-step", "0.05"], -18.0, 4),
@@ -305,13 +324,13 @@ def test_served_pairs_are_the_sound_ones(sol_wide):
 ])
 def test_solve_follows_the_request(capsys, monkeypatch, argv, x_left,
                                    jet_order):
-    # every served request reads the one solve, x_left = -13.5 or the
-    # grid's left end if that lies further left, at jet order 4; each
-    # verify check names its own
+    # every served request reads the one solve, SolverConfig(): x_left =
+    # -13.5, or the grid's left end if that lies further left, at jet
+    # order 4; verify reads it too
     configs, solve = [], painleve.solve
 
     def record(config=None):
-        configs.append(config)
+        configs.append(config or painleve.SolverConfig())
         return solve(config)
     monkeypatch.setattr(painleve, "solve", record)
     assert cli.main(argv) == 0
@@ -320,10 +339,11 @@ def test_solve_follows_the_request(capsys, monkeypatch, argv, x_left,
                                                            jet_order)]
 
 
-@pytest.mark.parametrize("beta, m, s", [(4, 3, -8.5), (2, 3, -2.5)])
-def test_value_does_not_depend_on_the_request(capsys, sol_wide, beta, m, s):
+@pytest.mark.parametrize("beta, m, s", [(4, 3, -8.5), (2, 3, -2.5),
+                                        (1, 4, -4.0)])
+def test_value_does_not_depend_on_the_request(capsys, beta, m, s):
     # a point asked alone, the same point as a row of the default table,
-    # and dist.cdf on the served solve give the same bits
+    # and dist.cdf on the library's default solve give the same bits
     argv = ["table", "--beta", str(beta), "--m", str(m), "--json"]
     values = []
     for extra in (["--s", str(s)], []):
@@ -331,30 +351,33 @@ def test_value_does_not_depend_on_the_request(capsys, sol_wide, beta, m, s):
         block = json.loads(capsys.readouterr().out)["tables"][0]
         row = block["s"].index(s)
         values.append((block["F"][row], block["f"][row]))
-    t = dist.cdf(dist.DistRequest(beta=beta, m=m, s_grid=[s]), sol_wide)
+    t = dist.cdf(dist.DistRequest(beta=beta, m=m, s_grid=[s]),
+                 painleve.solve())
     values.append((float(t.F[0]), float(t.f[0])))
     assert values[0] == values[1] == values[2]
 
 
 def test_verify_solves(capsys, monkeypatch):
-    # each check names its own configs: the order-0 solve and its
-    # lambda = 0.5 sweep, the default solve, the solve under [-13, 6]
+    # every check reads the served solve, SolverConfig(), and the oracle
+    # check its lambda = 0.5 sweep on the same interval
     calls, solve, at_lambda = [], painleve.solve, painleve.solve_at_lambda
 
     def record(config=None):
-        calls.append(("solve", config.x_left, config.jet_order))
-        return solve(config)
+        sol = solve(config)
+        calls.append(("solve", sol.config.x_left, sol.config.jet_order))
+        return sol
 
     def record_at_lambda(lam, config=None):
-        calls.append((lam, config.x_left, config.jet_order))
-        return at_lambda(lam, config)
+        sol = at_lambda(lam, config)
+        calls.append((lam, sol.config.x_left, sol.config.jet_order))
+        return sol
     monkeypatch.setattr(painleve, "solve", record)
     monkeypatch.setattr(painleve, "solve_at_lambda", record_at_lambda)
     for check in ("oracle", "asymptotics", "interlacing"):
         assert cli.main(["verify", "--check", check]) == 0
     capsys.readouterr()
-    assert calls == [("solve", -10.0, 0), (0.5, -10.0, 0),
-                     ("solve", -10.0, 4), ("solve", -13.5, 4)]
+    assert calls == [("solve", -13.5, 4), (0.5, -13.5, 0),
+                     ("solve", -13.5, 4), ("solve", -13.5, 4)]
 
 
 def test_table_single_point(tmp_path):

@@ -197,7 +197,7 @@ class TestCdf:
                 dist.cdf(req, sol_default)
 
     def test_grid_left_of_solution(self, sol_default):
-        req = DistRequest(beta=2, s_grid=np.linspace(-11.0, 5.0, 11))
+        req = DistRequest(beta=2, s_grid=np.linspace(-14.0, 5.0, 11))
         with pytest.raises(ValueError, match="range error"):
             dist.cdf(req, sol_default)
 
@@ -213,7 +213,7 @@ class TestCdf:
         assert table.F[-1] >= 1.0 - (5e-6 if beta == 1 else 1e-6)
         assert table.beta == beta and table.m == m
 
-    def test_left_tail_negligible(self, sol_wide, beta1_tables):
+    def test_left_tail_negligible(self, sol_default, beta1_tables):
         # slowest-decaying case at the far left of the wide grid
         assert beta1_tables[1].F[0] <= 1e-10
 
@@ -246,15 +246,15 @@ class TestCdf:
             assert np.all(np.diff(table.F) >= 0.0)
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
-    def test_root_reads_only_lower_orders(self, sol_wide, beta):
+    def test_root_reads_only_lower_orders(self, sol_default, beta):
         # the root to lambda-order k reads the jets to order k, or to
         # order k // 2 for beta = 1; each coefficient of the root and of
         # its s-derivative must be the full-order one, bit for bit,
         # inside the solved domain, in the tail and on single-point jets.
         # Five jet orders feed beta = 1's root to lambda-order 9.
         top = 9 if beta == 1 else 4
-        bundles = [sol_wide.jets(np.linspace(-13.5, 9.5, 461))]
-        bundles += [sol_wide.jet_at(s) for s in (-12.0, -4.0, 0.5, 8.0)]
+        bundles = [sol_default.jets(np.linspace(-13.5, 9.5, 461))]
+        bundles += [sol_default.jet_at(s) for s in (-12.0, -4.0, 0.5, 8.0)]
         for b in bundles:
             whole = dist._root_of(b, beta, top)
             for k in range(top + 1):
@@ -266,22 +266,22 @@ class TestCdf:
     @pytest.mark.parametrize("beta, m", [(b, m) for b in (1, 2, 4)
                                          for m in (1, 2, 3, 4)
                                          if (b, m) not in STENCIL_SKIP])
-    def test_density_against_stencil(self, sol_wide, beta, m):
+    def test_density_against_stencil(self, sol_default, beta, m):
         # around every 20th point of the moment grid
         grid = (MOMENT_GRID[::20, None] + STEPS).ravel()
-        t = dist.cdf(DistRequest(beta=beta, m=m, s_grid=grid), sol_wide)
+        t = dist.cdf(DistRequest(beta=beta, m=m, s_grid=grid), sol_default)
         fd = _five_point(t.F.reshape(-1, 5))
         assert np.max(np.abs(t.f[2::5] - fd)) <= 1e-9
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
-    def test_density_independent_of_grid(self, sol_wide, beta):
+    def test_density_independent_of_grid(self, sol_default, beta):
         # each point's density comes from its own jets
         for m in range(1, 5):
             fine = dist.cdf(DistRequest(beta=beta, m=m, s_grid=MOMENT_GRID),
-                            sol_wide).f
+                            sol_default).f
             coarse = dist.cdf(DistRequest(beta=beta, m=m,
                                           s_grid=MOMENT_GRID[::25]),
-                              sol_wide).f
+                              sol_default).f
             assert coarse.tobytes() == fine[::25].tobytes()
 
     def test_density_beta2_m4_against_eigenvalues(self, sol_default):
@@ -324,12 +324,12 @@ class TestCdf:
         assert dist.interlacing_residual(2, sol_default, grid) <= 1e-4
 
 
-def test_golden_tables(sol_wide):
+def test_golden_tables(sol_default):
     golden = np.loadtxt(GOLDEN)
     grid = MOMENT_GRID[::25]
     np.testing.assert_array_equal(golden[:, 0], grid)
     for col, (beta, m) in enumerate(GOLDEN_TOL, start=1):
-        F = dist.cdf(DistRequest(beta=beta, m=m, s_grid=grid), sol_wide).F
+        F = dist.cdf(DistRequest(beta=beta, m=m, s_grid=grid), sol_default).F
         dev = np.max(np.abs(F - golden[:, col]))
         assert dev <= GOLDEN_TOL[beta, m], (beta, m, dev)
 
@@ -350,13 +350,13 @@ class TestMoments:
 
     @pytest.mark.parametrize("beta, m", [(b, m) for b in (1, 2, 4)
                                          for m in (1, 2)])
-    def test_moments_do_not_depend_on_the_grid(self, sol_wide, beta, m):
+    def test_moments_do_not_depend_on_the_grid(self, sol_default, beta, m):
         # the trapezoid rule converges exponentially on the smooth,
         # fast-decaying densities: 201 points give the 2001-point
         # moments to 6.5e-11 at most
         coarse, fine = (dataclasses.astuple(dist.moments(dist.cdf(
             DistRequest(beta=beta, m=m, s_grid=np.linspace(-13.0, 12.0, n)),
-            sol_wide))) for n in (201, 2001))
+            sol_default))) for n in (201, 2001))
         assert all(type(v) is float for v in coarse + fine)
         np.testing.assert_allclose(coarse, fine, rtol=0.0, atol=1e-9)
 
@@ -373,12 +373,12 @@ class TestMoments:
                                r"is (-1\.49\d*|0\.0); the density is negative"):
                 dist.moments(table)
 
-    def test_beta4_m4_coarse_grid_variance_is_named(self, sol_wide):
+    def test_beta4_m4_coarse_grid_variance_is_named(self, sol_default):
         # the (4, 4) density is wrong in the left tail (ROADMAP item 2):
         # on 201 points of [-13, 12] its variance comes out negative
         table = dist.cdf(DistRequest(beta=4, m=4,
                                      s_grid=np.linspace(-13.0, 12.0, 201)),
-                         sol_wide)
+                         sol_default)
         with pytest.raises(ValueError, match=r"beta=4, m=4: the variance is "
                            r"-.*density is negative on the grid"):
             dist.moments(table)

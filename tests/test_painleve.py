@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import shutil
@@ -16,7 +17,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.x_right == 6.0
-        assert cfg.x_left == -10.0
+        assert cfg.x_left == -13.5
         assert cfg.jet_order == 4
         # the other solver settings are fixed
         assert [f.name for f in dataclasses.fields(cfg)] == ["x_left",
@@ -111,11 +112,12 @@ def _uniform(sol, n=3201):
 
 class TestSolveInvariants:
     def test_right_boundary_is_airy(self, sol_default):
+        # q = sqrt(lambda) Ai at every jet order
         xr = sol_default.config.x_right
         b = sol_default.jet_at(xr)
         pair = specfun.airy(xr)
-        assert abs(b.q[0] - pair.ai) < 1e-10
-        assert abs(b.qprime[0] - pair.aip) < 1e-10
+        for q, c in zip(b.q, painleve.sqrt_lambda_coeffs(4)):
+            assert abs(q - c * pair.ai) < 1e-10
 
     def test_right_boundary_tail_integrals(self, sol_default):
         xr = sol_default.config.x_right
@@ -179,7 +181,7 @@ class TestSolveInvariants:
         for s in (-9.0, -4.0, 0.0, 3.0):
             full = sol_default.jet_at(s)
             low = sol_order2.jet_at(s)
-            for name in ("q", "qprime", "I", "Iprime", "J"):
+            for name in ("q", "I", "Iprime", "J"):
                 a = getattr(full, name)[:3]
                 b = getattr(low, name)
                 for u, v in zip(a, b):
@@ -193,12 +195,12 @@ class TestSolveInvariants:
 class TestSolutionAccess:
     def test_jet_at_below_range(self, sol_default):
         with pytest.raises(ValueError):
-            sol_default.jet_at(-10.5)
+            sol_default.jet_at(-14.0)
 
     def test_tail_jets_continuous_at_x_right(self, sol_default):
         inner = sol_default.jet_at(6.0 - 1e-9)
         outer = sol_default.jet_at(6.0 + 1e-9)
-        for name in ("q", "qprime", "I", "Iprime", "J"):
+        for name in ("q", "I", "Iprime", "J"):
             a = getattr(inner, name)
             b = getattr(outer, name)
             np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-13)
@@ -227,12 +229,15 @@ class TestSolutionAccess:
             np.testing.assert_allclose(a[:, [0, 3]], a[:, [2, 2]],
                                        rtol=1e-6, atol=1e-13)
         # the sweep's dense output at its start reproduces the start
-        # values exactly: orders >= 1 of q are binom(1/2, k) Ai(x_right),
-        # with the closed form that ``_tail_state`` reads
+        # values exactly: orders >= 1 of q are binom(1/2, k) Ai(x_right)
+        # and of I are T(x_right), 0, 0, 0, with the closed forms that
+        # ``_tail_state`` reads
         b = np.array(painleve.sqrt_lambda_coeffs(4)[1:])
         ai, aip, _, _ = special.airy(xr)
+        T = -(ai * aip) / 3.0 - (2.0 / 3.0) * xr * aip * aip \
+            + (2.0 / 3.0) * xr * xr * ai * ai
         assert np.array_equal(got.q[1:, 2], b * ai)
-        assert np.array_equal(got.qprime[1:, 2], b * aip)
+        assert got.I[1:, 2].tolist() == [T, 0.0, 0.0, 0.0]
         assert got.q[0, 1] == pytest.approx(
             painleve.q0_asymptotic(-2.0 * xl), rel=1e-10)
 
@@ -267,7 +272,7 @@ class TestSolutionAccess:
                 call()
 
 def _sha(sol, s):
-    # one digest over all five jet fields at the points s
+    # one digest over all four jet fields at the points s
     h = hashlib.sha256()
     for field in sol.jets(s):
         h.update(field.tobytes())
@@ -361,7 +366,7 @@ class TestSolutionCache:
 
     @pytest.mark.parametrize("change", [
         lambda a: a.update(c=a["c"][:, 1:]),
-        lambda a: a.update(F=a["F"][:, :, :4]),
+        lambda a: a.update(F=a["F"][:, :, :3]),
         lambda a: a.update(key=a["key"] + [1, 0, 0]),
         lambda a: a.update(ts=a["ts"].astype(np.float32)),
         lambda a: a.pop("residual"),
@@ -385,22 +390,28 @@ class TestSolutionCache:
         assert painleve._load(cfg) is None
 
     def test_format_2_file_is_solved_again(self, entry):
-        # the layout before format 3 also stored each step's t_old and h
+        # the layouts before format 4 kept five states, q' among them (the
+        # entry is of jet order 1, so its sweep holds one row per state),
+        # and the one before format 3 also each step's t_old and h
         cfg, data = entry
-        path = self._put(cfg, data)
-        with np.load(path) as z:
-            arrays = dict(z)
-        ts = arrays["ts"]
-        arrays.update(key=np.array([2.0, cfg.x_left, cfg.jet_order]),
-                      t_old=ts[1:], h=ts[:-1] - ts[1:])
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-        assert painleve.solve(cfg).diagnostics["cache"] == {"hit": False}
-        with np.load(path) as z:
-            assert sorted(z.files) == ["F", "c", "key", "residual", "ts",
-                                       "x", "y_old"]
-            assert z["key"][0] == 3.0
-        assert painleve.solve(cfg).diagnostics["cache"] == {"hit": True}
+        with np.load(io.BytesIO(data)) as z:
+            five = {f: np.insert(z[f], 1, 0.0, axis=-1) if f in
+                    ("c", "y_old", "F") else z[f] for f in z.files}
+        ts = five["ts"]
+        old = [dict(five, key=np.array([2.0, cfg.x_left, cfg.jet_order]),
+                    t_old=ts[1:], h=ts[:-1] - ts[1:]),
+               dict(five, key=np.array([3.0, cfg.x_left, cfg.jet_order]))]
+        for arrays in old:
+            path = self._put(cfg, b"")
+            with open(path, "wb") as fh:
+                np.savez(fh, **arrays)
+            assert painleve.solve(cfg).diagnostics["cache"] == {"hit": False}
+            with np.load(path) as z:
+                assert sorted(z.files) == ["F", "c", "key", "residual", "ts",
+                                           "x", "y_old"]
+                assert z["key"][0] == 4.0
+                assert z["c"].shape[-1] == z["y_old"].shape[-1] == 4
+            assert painleve.solve(cfg).diagnostics["cache"] == {"hit": True}
 
     def test_object_array_is_solved_again(self, entry):
         cfg, data = entry
@@ -454,22 +465,25 @@ class TestSolutionCache:
 class TestLambdaSolve:
     def test_lambda_zero_is_zero(self):
         sol = painleve.solve_at_lambda(0.0)
-        assert [f.tolist() for f in sol.jet_at(-3.0)] == [[0.0]] * 5
+        assert [f.tolist() for f in sol.jet_at(-3.0)] == [[0.0]] * 4
 
     def test_lambda_half_boundary(self):
         b = painleve.solve_at_lambda(0.5).jet_at(6.0)
         pair = specfun.airy(6.0)
+        _, _, T, V, W = specfun.airy_tail(6.0)
         assert b.q[0] == pytest.approx(math.sqrt(0.5) * pair.ai, rel=1e-10)
-        assert b.qprime[0] == pytest.approx(math.sqrt(0.5) * pair.aip,
-                                            rel=1e-10)
+        assert b.I[0] == pytest.approx(0.5 * T, rel=1e-10)
+        assert b.Iprime[0] == pytest.approx(-0.5 * V, rel=1e-10)
+        assert b.J[0] == pytest.approx(math.sqrt(0.5) * W, rel=1e-10)
 
     def test_left_of_domain(self):
         with pytest.raises(ValueError, match="range error"):
-            painleve.solve_at_lambda(0.5).jet_at(-10.5)
+            painleve.solve_at_lambda(0.5).jet_at(-14.0)
 
     def test_equals_ode_solution(self, monkeypatch):
         # the deformed sweep's OdeSolution, bit for bit, at the points of
-        # verify --check oracle and at every breakpoint
+        # verify --check oracle and at every breakpoint, on the states q,
+        # I, I', J that the solution keeps of q, q', I, I', J
         runs, solve_ivp = [], integrate.solve_ivp
 
         def record(*args, **kwargs):
@@ -477,19 +491,18 @@ class TestLambdaSolve:
             return runs[-1]
         monkeypatch.setattr(integrate, "solve_ivp", record)
         sol = painleve.solve_at_lambda(0.5)
-        assert sol.jet_order == 0 and sol.config.x_left == -10.0
+        assert sol.jet_order == 0 and sol.config.x_left == -13.5
         (res,) = runs
         pts = np.concatenate([[-6.0, -4.0, -2.0, 0.0, 2.0, 4.0], res.t])
         got = np.array(sol.jets(pts))[:, 0]
-        assert got.tobytes() == res.sol(pts).tobytes()
+        assert got.tobytes() == res.sol(pts)[[0, 2, 3, 4]].tobytes()
 
     def test_tail_is_closed_form(self):
-        # beyond x_right: sqrt(lam) Ai, sqrt(lam) Ai', lam T, -lam V,
-        # sqrt(lam) W
+        # beyond x_right: sqrt(lam) Ai, lam T, -lam V, sqrt(lam) W
         lam, s = 0.5, np.array([6.0 + 1e-9, 7.5, 20.0])
-        ai, aip, T, V, W = specfun.airy_tail(s)
+        ai, _, T, V, W = specfun.airy_tail(s)
         r = math.sqrt(lam)
-        want = [r * ai, r * aip, lam * T, -lam * V, r * W]
+        want = [r * ai, lam * T, -lam * V, r * W]
         got = painleve.solve_at_lambda(lam).jets(s)
         assert [f[0].tobytes() for f in got] == [w.tobytes() for w in want]
 
@@ -517,7 +530,7 @@ class TestSpline:
     """The numpy order-0 spline must reproduce scipy's PPoly bit for
     bit; a change in PPoly's evaluation fails here."""
 
-    @pytest.mark.parametrize("fixture", ["sol_wide", "sol_order0"])
+    @pytest.mark.parametrize("fixture", ["sol_default", "sol_order0"])
     def test_equals_ppoly(self, fixture, request):
         sol = request.getfixturevalue(fixture)
         spline = sol._dense[0]

@@ -30,9 +30,12 @@ CACHE_DIR becomes ``XDG_CACHE_HOME``: an empty directory makes every
 ``painleve.solve`` a miss, a second run on it a hit.  The cache state of
 each solve goes to stderr, so stdout is the same on a miss and on a hit
 when the cache keeps the bits.  To compare two checkouts, run a copy of
-this script from the tools/ folder of each and diff the outputs.
+this script from the tools/ folder of each and diff the outputs.  No
+line depends on ``SolverConfig``'s defaults or on ``JetBundle``'s
+layout: every solve names its configuration, and the jets print by
+the names of the four fields, ``q``, ``I``, ``Iprime`` and ``J``.
 
-The set: the jets of q, q', I, I', J and the diagnostics (without the
+The set: the jets of q, I, I', J and the diagnostics (without the
 cache state) of the solves (x_left, jet order) = (-13.5, 4), (-10, 0)
 and (-20.25, 1), on 4,004 points of [x_left, 12] plus 6, 6 + 1e-9 and
 12; F and f of every (beta, m <= 5) from the (-13.5, 4) solve on the
@@ -49,9 +52,9 @@ of 30 nodes of [-14, -8]; ``painleve.boundary_jet`` on 561 points of
 [4, 60];
 the solves' right-end data at x_right for jet orders 0-4 and for
 lambda = 0.5 (``painleve._tail_state``); the jets of the lambda = 0.5
-solution at the six points of ``verify --check oracle`` and at 7.5;
-``oracle.nystrom_d2`` at
-lambda = 1 and 0.5, and ``oracle.nystrom_d4``, at those six points
+solution on [-13.5, 6] at the six points of ``verify --check oracle``
+and at 7.5; ``oracle.nystrom_d2`` at lambda = 1 and 0.5, and
+``oracle.nystrom_d4``, at those six points
 with n = 200; the repr of ``oracle.edge_probabilities`` at n = 200 for
 (beta, m_max) = (1, 1), (2, 4) and (4, 4) at those six points and at
 s = -14 and 12; the samples of ``rmt.collect`` for the five Monte-Carlo
@@ -79,6 +82,7 @@ GRIDS = {"table": (-8.0, 4.0, 1201), "moments": (-13.0, 9.5, 1801),
          "cli-moments": (-13.0, 12.0, 2001),
          "coarse-moments": (-13.0, 12.0, 201)}
 ORACLE_POINTS = (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 7.5)
+JET_FIELDS = ("q", "I", "Iprime", "J")
 # (ensemble, size, rows, cols)
 X_RIGHT = 6.0
 MC_JOBS = (("goe", 400, 0, 0), ("gue", 200, 0, 0), ("gse", 100, 0, 0),
@@ -121,8 +125,9 @@ def main(argv):
              json.dumps(diag, sort_keys=True).encode())
         s = np.concatenate([np.linspace(x_left, 12.0, 4004),
                             [6.0, 6.0 + 1e-9, 12.0]])
-        for name, a in zip(painleve.JetBundle._fields, sol.jets(s)):
-            split_line(f"jets {tag} {name}", s, a)
+        bundle = sol.jets(s)
+        for name in JET_FIELDS:
+            split_line(f"jets {tag} {name}", s, getattr(bundle, name))
 
     sol = sols[-13.5, 4]
     tables = {}
@@ -182,10 +187,10 @@ def main(argv):
                                     *painleve._tail_columns(order, lam))
         line(f"right-end data j{order} lambda={lam!r}", np.array(data))
 
-    half = painleve.solve_at_lambda(0.5)
-    for name, a in zip(painleve.JetBundle._fields,
-                       half.jets(np.array(ORACLE_POINTS))):
-        split_line(f"lambda=0.5 {name}", ORACLE_POINTS, a)
+    half = painleve.solve_at_lambda(0.5, painleve.SolverConfig(x_left=-13.5))
+    bundle = half.jets(np.array(ORACLE_POINTS))
+    for name in JET_FIELDS:
+        split_line(f"lambda=0.5 {name}", ORACLE_POINTS, getattr(bundle, name))
 
     pts = ORACLE_POINTS[:-1]
     for lam in (1.0, 0.5):
