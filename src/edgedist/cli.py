@@ -19,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from . import __version__, dist, jet, oracle, painleve, rmt
+from . import __version__, dist, jet, oracle, painleve, rmt, specfun
 
 _BETAS = (1, 2, 4)
 _ENSEMBLE_BETA = {"goe": 1, "gue": 2, "gse": 4, "wishart": 1}
@@ -111,11 +111,8 @@ def _csv(columns, rows):
 def _tables(beta, ms, grid):
     """F_beta(s, m) on ``grid`` for each m, from the one served solve:
     ``SolverConfig()``, its x_left moved to grid[0] if that lies further
-    left.  ValueError before the solve for a grid left of ``_MIN_S``, an
-    m above the jet order, then one above ``_MAX_M[beta]``."""
-    if grid[0] < _MIN_S:
-        raise ValueError(f"s = {_fmt(grid[0])} lies left of {_fmt(_MIN_S)}, "
-                         f"the furthest left the solve reaches")
+    left.  ValueError before the solve for an m above the jet order,
+    then one above ``_MAX_M[beta]``."""
     default = painleve.SolverConfig.x_left
     cfg = painleve.SolverConfig(x_left=min(default, float(grid[0])))
     m_max = max(ms)
@@ -162,6 +159,15 @@ def cmd_table(args):
     # the Tracy-Widom normalization F_4^TW(s) = F_4(sqrt(2) s): the
     # default table read at sqrt(2) s
     scale = math.sqrt(2.0) if args.tw_convention else 1.0
+    # refused before the solve, in the user's units
+    if grid[0] * scale < _MIN_S:
+        raise ValueError(f"s = {_fmt(grid[0])} lies left of "
+                         f"{_fmt(_MIN_S / scale)}, the furthest left the "
+                         f"solve reaches")
+    if grid[-1] * scale > specfun.XMAX:
+        raise ValueError(f"s = {_fmt(grid[-1])} lies right of "
+                         f"{_fmt(specfun.XMAX / scale)}, the furthest right "
+                         f"the Airy tails reach")
     tables = _tables(args.beta, args.m, grid * scale)
     blocks = [{"beta": t.beta, "m": t.m, "s": grid.tolist(),
                "F": t.F.tolist(), "f": (t.f * scale).tolist()}

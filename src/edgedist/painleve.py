@@ -18,10 +18,10 @@ refines everything.  The expansions also anchor the left boundary values
 of the order-0 and order-1 components.
 
 Each configuration is solved once per machine: ``solve`` keeps the
-solution's arrays in an on-disk cache (see ``solve``) and rebuilds the
-same interpolants from them, so a cached solution gives the same bits.
-``solve_at_lambda`` samples the same family at lambda < 1, order 0
-only; both return a ``PainleveSolution``.
+solution's arrays in an on-disk cache (see ``solve``) and builds every
+solution from them, a hit's as read and a miss's as solved, so a cached
+solution gives the same bits.  ``solve_at_lambda`` samples the same
+family at lambda < 1, order 0 only; both return a ``PainleveSolution``.
 
 The interpolants evaluate in numpy, with the operations of the scipy
 objects the solve returns, and the values past x_right come from
@@ -121,12 +121,11 @@ def q1_asymptotic(t):
 
     exp(t^{3/2}/3) / (2 sqrt(2 pi) t^{1/4}) times the bracket
     1 + 17/(24 t^{3/2}) + 1513/(1152 t^3) + 850193/(82944 t^{9/2})
-    - 407117521/(7962624 t^6).
+    - 407117521/(7962624 t^6).  Valid for 10 <= t <= 165.5: beyond, the
+    exponential overflows, and this raises ValueError.
     """
     if t < 10.0:
         raise ValueError("expansion valid for t >= 10")
-    if t > 400.0:
-        raise ValueError("exponential overflow for t > 400")
     v = t ** -1.5
     bracket = 1.0 + v * (17.0 / 24.0 + v * (1513.0 / 1152.0 + v * (
         850193.0 / 82944.0 - v * 407117521.0 / 7962624.0)))
@@ -200,7 +199,7 @@ class _Dop853Dense(NamedTuple):
     F: np.ndarray
 
     @classmethod
-    def from_solution(cls, sol, columns=slice(None)):
+    def from_solution(cls, sol, columns):
         """Stack the step data of ``OdeSolution`` ``sol``, of the states
         that ``columns`` indexes; SolverError unless it runs right to
         left and every interpolant is scipy's DOP853 dense output."""
@@ -343,6 +342,24 @@ def _tail_state(x, r, lam):
     return q, r * aip, I, ip, J
 
 
+def _system0(x, y):
+    # the order-0 system in the states q, q', I, I', J
+    q, qp, _, ip, _ = y
+    return [qp, x * q + 2.0 * q ** 3, ip, q * q, -q]
+
+
+def _sweep(rhs, y0, cfg, columns, what):
+    """The states ``columns`` indexes of a DOP853 run from x_right to
+    x_left, as ``_Dop853Dense``; SolverError naming ``what`` on failure."""
+    from scipy import integrate
+    res = integrate.solve_ivp(rhs, (cfg.x_right, cfg.x_left), y0,
+                              method="DOP853", rtol=_SWEEP_RTOL, atol=1e-20,
+                              dense_output=True)
+    if not res.success:
+        raise SolverError(f"{what} failed: {res.message}")
+    return _Dop853Dense.from_solution(res.sol, columns)
+
+
 def solve_at_lambda(lam, config=None):
     """Solve of the deformed problem q ~ sqrt(lam) Ai, 0 <= lam < 1.
 
@@ -354,20 +371,9 @@ def solve_at_lambda(lam, config=None):
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError("requires 0 <= lam < 1; use solve() at lam = 1")
-    from scipy import integrate
     cfg = dataclasses.replace(config or SolverConfig(), jet_order=0)
-    xr, xl = cfg.x_right, cfg.x_left
-    y0 = np.ravel(_tail_state(xr, *_tail_columns(0, lam)))
-
-    def rhs(x, y):
-        q, qp, _, ip, _ = y
-        return [qp, x * q + 2.0 * q ** 3, ip, q * q, -q]
-
-    res = integrate.solve_ivp(rhs, (xr, xl), y0, method="DOP853",
-                              rtol=_SWEEP_RTOL, atol=1e-20, dense_output=True)
-    if not res.success:
-        raise SolverError(f"deformed sweep failed: {res.message}")
-    dense = _Dop853Dense.from_solution(res.sol, _SERVED)
+    y0 = np.ravel(_tail_state(cfg.x_right, *_tail_columns(0, lam)))
+    dense = _sweep(_system0, y0, cfg, _SERVED, "deformed sweep")
     return PainleveSolution(cfg, [dense], {}, lam)
 
 
@@ -384,8 +390,8 @@ def solve(config=None):
     writes the file, then deletes the files of other code keys that are
     older than the newer of the two sources: a newer file may belong to
     another checkout sharing the folder.  A cache that cannot be written
-    only costs the solve.  A cached solution gives the same bits as the
-    solve that wrote it.
+    only costs the solve.  A hit and a miss build the solution from the
+    same arrays, so a hit gives the bits of the solve that wrote it.
 
     Parameters
     ----------
@@ -404,13 +410,19 @@ def solve(config=None):
         non-convergence; the message carries the worst residual.
     """
     cfg = config or SolverConfig()
-    sol = _load(cfg)
-    hit = sol is not None
+    arrays = _load(cfg)
+    hit = arrays is not None
     if not hit:
-        sol = _solve(cfg)
-        _store(sol)
-    sol.diagnostics["cache"] = {"hit": hit}
-    return sol
+        arrays = _solve(cfg)
+        _store(cfg, arrays)
+    dense = [_Spline(arrays["c"], arrays["x"])]
+    diagnostics = {"order0": {"nodes": arrays["x"].size,
+                              "max_rms_residual": float(arrays["residual"])}}
+    if cfg.jet_order:
+        dense.append(_Dop853Dense(*(arrays[f] for f in _Dop853Dense._fields)))
+        diagnostics["sweep"] = {"steps": arrays["ts"].size}
+    diagnostics["cache"] = {"hit": hit}
+    return PainleveSolution(cfg, dense, diagnostics)
 
 
 def _cache_path(cfg):
@@ -427,7 +439,8 @@ def _cache_path(cfg):
 
 
 def _load(cfg):
-    """The cached solution of ``cfg``, or None if it cannot be read."""
+    """The arrays of ``cfg``'s cache file, those ``_solve`` returns on a
+    miss, for ``solve`` to build a hit from; None if any check fails."""
     M = cfg.jet_order
     try:
         with np.load(_cache_path(cfg), allow_pickle=False) as z:
@@ -448,27 +461,13 @@ def _load(cfg):
             or not all(b.size > 1 and (np.diff(b) > 0).all()
                        for b in breaks)):
         return None
-    dense = [_Spline(a["c"], a["x"])]
-    diagnostics = {"order0": {"nodes": n,
-                              "max_rms_residual": float(a["residual"])}}
-    if M:
-        dense.append(_Dop853Dense(**{f: a[f] for f in _Dop853Dense._fields}))
-        diagnostics["sweep"] = {"steps": a["ts"].size}
-    return PainleveSolution(cfg, dense, diagnostics)
+    return a
 
 
-def _store(sol):
-    """Write ``sol`` to its cache file, then delete the files of other
-    code keys older than the newer of ``_CACHE_SOURCES``; a
-    failure to write leaves the cache as it was."""
-    cfg = sol.config
-    spline = sol._dense[0]
-    arrays = {"key": np.array([_CACHE_FORMAT, cfg.x_left, cfg.jet_order],
-                              dtype=float),
-              "residual": sol.diagnostics["order0"]["max_rms_residual"],
-              "c": spline.c, "x": spline.x}
-    if cfg.jet_order:
-        arrays.update(sol._dense[1]._asdict())
+def _store(cfg, arrays):
+    """Write ``_solve``'s ``arrays`` to ``cfg``'s cache file, for a hit to
+    read back as they are, then delete the files of other code keys older
+    than the newer of ``_CACHE_SOURCES``; a failed write changes nothing."""
     with contextlib.suppress(OSError):
         path = _cache_path(cfg)
         folder, name = os.path.split(path)
@@ -492,14 +491,16 @@ def _store(sol):
 
 
 def _solve(cfg):
-    """The solve behind ``solve``, without the cache."""
+    """The solve behind ``solve``, without the cache: the arrays of a
+    cache file, which ``solve`` builds the solution from; ``c`` and ``x``
+    are the order-0 ``_Spline``'s and ``ts``, ``y_old`` and ``F`` the jet
+    sweep's ``_Dop853Dense``'s."""
     from scipy import integrate
     xr, xl, M = cfg.x_right, cfg.x_left, cfg.jet_order
 
     # right-end data of orders 0..M, shape (5, M + 1)
     tail = np.array(_tail_state(xr, *_tail_columns(M, 1.0)))[..., 0]
     q_r, qp_r, i_r, ip_r, j_r = tail[:, 0]
-    diagnostics = {}
 
     # ---- first approximation: Runge-Kutta from the right boundary,
     # asymptotic expansion left of the patch point
@@ -527,10 +528,6 @@ def _solve(cfg):
     jg = j_r + (c_q[-1] - c_q)
 
     # ---- order 0: nonlinear collocation refinement
-    def fun0(x, y):
-        q, qp, _, ip, _ = y
-        return np.vstack([qp, x * q + 2.0 * q ** 3, ip, q * q, -q])
-
     def jac0(x, y):
         q = y[0]
         J = np.zeros((5, 5, x.size))
@@ -552,15 +549,16 @@ def _solve(cfg):
         dyb[[1, 2, 3, 4], [0, 2, 3, 4]] = 1.0
         return dya, dyb
 
-    res = integrate.solve_bvp(fun0, bc0, xs, np.vstack([qg, qpg, ig, ipg, jg]),
+    res = integrate.solve_bvp(lambda x, y: np.vstack(_system0(x, y)), bc0,
+                              xs, np.vstack([qg, qpg, ig, ipg, jg]),
                               fun_jac=jac0, bc_jac=bc0_jac,
                               tol=_BVP_TOL, max_nodes=400000)
     if res.status != 0:
         raise SolverError(f"order-0 collocation failed: {res.message}; "
                           f"max residual {res.rms_residuals.max():.3e}")
-    dense = [_Spline(res.sol.c[..., _SERVED], res.sol.x)]
-    diagnostics["order0"] = {"nodes": res.x.size,
-                             "max_rms_residual": float(res.rms_residuals.max())}
+    arrays = {"key": np.array([_CACHE_FORMAT, xl, M], dtype=float),
+              "residual": float(res.rms_residuals.max()),
+              "c": res.sol.c[..., _SERVED], "x": res.sol.x}
 
     # ---- orders 1..M: one linear variational sweep from the right
     # boundary.  All side data for these orders sits at x_right, and the
@@ -592,16 +590,11 @@ def _solve(cfg):
             return np.concatenate([qp, x * q + 2.0 * cube[1:M + 1], ip,
                                    sq[1:], -q])
 
-        # + 0.0 starts the zero I' of orders >= 2 at +0.0, not -0.0
-        sweep = integrate.solve_ivp(rhs, (xr, xl), tail[:, 1:].ravel() + 0.0,
-                                    method="DOP853",
-                                    rtol=_SWEEP_RTOL, atol=1e-20,
-                                    dense_output=True)
-        if not sweep.success:
-            raise SolverError(f"jet sweep failed: {sweep.message}")
         # the served states by jet order, so orders 1..k are a prefix
         by_order = np.arange(5 * M).reshape(5, M)[_SERVED].T.ravel()
-        dense.append(_Dop853Dense.from_solution(sweep.sol, by_order))
-        diagnostics["sweep"] = {"steps": sweep.t.size}
+        # + 0.0 starts the zero I' of orders >= 2 at +0.0, not -0.0
+        sweep = _sweep(rhs, tail[:, 1:].ravel() + 0.0, cfg, by_order,
+                       "jet sweep")
+        arrays.update(sweep._asdict())
 
-    return PainleveSolution(cfg, dense, diagnostics)
+    return arrays

@@ -200,11 +200,24 @@ class TestArgumentErrors:
             assert capsys.readouterr() == ("", f"error: s = {left} lies left "
                                            f"of -32, the furthest left the "
                                            f"solve reaches\n")
-        # the Tracy-Widom table reads F_4 at sqrt(2) s
+        # the Tracy-Widom table reads F_4 at sqrt(2) s, and names the
+        # bound in its own units
         tw = ["table", "--beta", "4", "--tw-convention", "--s"]
         assert cli.main([*tw, "-23"]) == 2
-        assert "lies left of -32," in capsys.readouterr().err
-        for argv in (["table", "--beta", "2", "--s", "-32"], [*tw, "-22.6"]):
+        assert capsys.readouterr() == ("", "error: s = -23 lies left of "
+                                       "-22.6274169979695, the furthest "
+                                       "left the solve reaches\n")
+        # right of specfun.XMAX = 60 the Airy tails refuse, so the grid is
+        # refused before the solve too
+        for argv, right, bound in (
+                (["table", "--beta", "2", "--s", "61"], "61", "60"),
+                ([*tw, "43"], "43", "42.4264068711928")):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: s = {right} lies "
+                                           f"right of {bound}, the furthest "
+                                           f"right the Airy tails reach\n")
+        for argv in (["table", "--beta", "2", "--s", "-32"], [*tw, "-22.6"],
+                     ["table", "--beta", "2", "--s", "60"], [*tw, "42.4"]):
             with pytest.raises(AssertionError, match="solved before"):
                 cli.main(argv)
 

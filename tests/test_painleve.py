@@ -83,8 +83,10 @@ def test_q1_asymptotic_leading_term():
 def test_q1_asymptotic_range():
     with pytest.raises(ValueError):
         painleve.q1_asymptotic(9.0)
-    with pytest.raises(ValueError):
-        painleve.q1_asymptotic(401.0)
+    # exp(t^{3/2}/3) overflows from t = 165.6 on
+    for t in (200.0, 401.0):
+        with pytest.raises(ValueError):
+            painleve.q1_asymptotic(t)
 
 
 def test_sqrt_lambda_coeffs():
@@ -433,7 +435,10 @@ class TestSolutionCache:
         for _ in range(2):
             sol = painleve.solve(cfg)
             assert sol.diagnostics["cache"] == {"hit": False}
-        assert sol.jet_at(0.0).q[0] > 0.0
+        # no output byte depends on the cache
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        s = np.linspace(cfg.x_left, 12.0, 2001)
+        assert _sha(sol, s) == _sha(painleve.solve(cfg), s)
 
     def test_store_removes_other_code_keys(self, entry, root):
         # a file older than the sources was written by an earlier code
@@ -552,7 +557,7 @@ class TestDenseSweep:
     def test_equals_ode_solution(self, t_span):
         res = _small_sweep(t_span)
         assert res.t.size > 10
-        ev = painleve._Dop853Dense.from_solution(res.sol)
+        ev = painleve._Dop853Dense.from_solution(res.sol, slice(None))
         lo, hi = min(t_span), max(t_span)
         # unsorted interior points, every breakpoint (both ends among
         # them), and points just outside
@@ -576,17 +581,17 @@ class TestDenseSweep:
             Dop853DenseOutput(a, b, rng.standard_normal(2),
                               rng.standard_normal((7, 2)))
             for a, b in zip(ts[:-1], ts[1:])])
-        ev = painleve._Dop853Dense.from_solution(sol)
+        ev = painleve._Dop853Dense.from_solution(sol, slice(None))
         assert np.array_equal(ev(ts), sol(ts))
 
     def test_rejects_other_interpolants(self):
         res = _small_sweep((2.0, -4.0), method="RK45")
         with pytest.raises(painleve.SolverError, match="DOP853"):
-            painleve._Dop853Dense.from_solution(res.sol)
+            painleve._Dop853Dense.from_solution(res.sol, slice(None))
 
     def test_rejects_left_to_right_solve(self):
         # the jet sweep runs from x_right to x_left, and the tie rule
         # above holds only for that direction
         res = _small_sweep((-4.0, 2.0))
         with pytest.raises(painleve.SolverError, match="right-to-left"):
-            painleve._Dop853Dense.from_solution(res.sol)
+            painleve._Dop853Dense.from_solution(res.sol, slice(None))

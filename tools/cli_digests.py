@@ -1,4 +1,4 @@
-"""SHA-256 digests of the CLI's output on a fixed set of 81 commands.
+"""SHA-256 digests of the CLI's output on a fixed set of 83 commands.
 
 Each command runs as a fresh ``python -m edgedist.cli`` process from
 the ``src/`` of the checkout that holds this script, and prints one
@@ -23,12 +23,14 @@ beta 1, 2, 4 and m = 1, 2, 3, 1..4, a wide grid per beta,
 beta 4, m = 3) and a point left of -10 (-11 at beta 2); ``moments``
 per beta at m = 1, 1..2, 1..4 and as JSON; the four ``verify`` checks
 as CSV and JSON; ``simulate`` (GOE, GUE, GSE) and ``wishart`` with
-``--percentiles``; ``percentiles`` at 0.5, 0.9, 0 and 1; ten usage
+``--percentiles``; ``percentiles`` at 0.5, 0.9, 0 and 1; twelve usage
 errors, which exit 2, among them an ``--s-step`` that does not divide
-the range and a point left of -32, where the solve would fail
-(``table --beta 2 --s -40``). The last two ask for F_4(s, 4), which
-the CLI refuses: a GSE ``--top-k 4`` percentile report and ``table
---beta 4 --m 4 --s -9``. The ``table`` and ``moments`` commands above
+the range, a point left of -32, where the solve would fail (``table
+--beta 2 --s -40``), the same bound in the Tracy-Widom units (``table
+--beta 4 --tw-convention --s -23``) and a point right of 60, where the
+Airy tails end (``table --beta 2 --s 61``). The last two ask for
+F_4(s, 4), which the CLI refuses: a GSE ``--top-k 4`` percentile report
+and ``table --beta 4 --m 4 --s -9``. The ``table`` and ``moments`` commands above
 whose m list holds 4 at beta 4 exit 2 for the same reason.
 """
 
@@ -79,6 +81,8 @@ def commands():
              "table --beta 2 --s-min 0 --s-max 1 --s-step 0.3",
              "table --beta 1 --tw-convention",
              "table --beta 2 --s -40",
+             "table --beta 4 --tw-convention --s -23",
+             "table --beta 2 --s 61",
              "moments --beta 2 --m 0",
              "simulate --ensemble goe --n 50 --reps 20 --percentiles nan",
              "simulate --ensemble gse --n 20 --reps 20 --seed 7 --top-k 4 "
