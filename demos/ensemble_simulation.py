@@ -33,6 +33,11 @@ def main():
         print("  m=%d: KS %.4f   mean %+.3f (limit %+.3f)   "
               "sd %.3f (limit %.3f)"
               % (m, ks.statistic, st.mean, ref.mean, st.sd, ref.sd))
+    # the stream is keyed by (seed, rep index): any rep can be redrawn
+    # on its own, bit for bit
+    alone = rmt.sample_spectrum(cfg, 500).scaled_top
+    print("  rep 500 drawn alone matches row 500: %s"
+          % (alone.tobytes() == samples[500].tobytes()))
 
     print("sampling 1000 GSE matrices of quaternion dimension 100 ...")
     cfg = rmt.EnsembleConfig(ensemble="gse", size=100, reps=1000, seed=13)

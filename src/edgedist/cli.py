@@ -208,6 +208,9 @@ def _percentile_report(args, samples, tables):
 
 
 def _ensemble_config(args):
+    if args.reps < 2:
+        raise ValueError(f"--reps must be >= 2 for the sample statistics, "
+                         f"got {args.reps}")
     if args.ensemble == "wishart":
         if args.rows is None or args.cols is None:
             raise ValueError("wishart needs --rows and --cols")

@@ -2,12 +2,13 @@
 
 Matrices are drawn from a counter-based generator keyed by
 (seed, rep_index), so any rep can be produced independently of the
-others, bit for bit the same as in a full run.  All four ensembles
-share one path: draw a matrix, diagonalize it once, take the top
-eigenvalues by rank.  The symplectic ensemble is drawn as every second
-eigenvalue of a GOE of odd dimension, and a Wishart matrix through the
-smaller of its two Gram matrices.  Edge rescaling brings them onto the
-scale of the limiting laws computed by the dist module.
+others, bit for bit the same as in a full run, for one numpy/BLAS
+build and BLAS thread count.  All four ensembles share one path: draw
+a matrix, diagonalize it once, take the top eigenvalues by rank.  The
+symplectic ensemble is drawn as every second eigenvalue of a GOE of
+odd dimension, and a Wishart matrix through the smaller of its two
+Gram matrices.  Edge rescaling brings them onto the scale of the
+limiting laws computed by the dist module.
 """
 
 import math
@@ -102,25 +103,35 @@ def edge_scale(raw_top, n):
     return (raw - math.sqrt(2.0 * n)) * math.sqrt(2.0) * n ** (1.0 / 6.0)
 
 
-def _goe_matrix(rng, n):
-    # diagonal variance 1, off-diagonal 1/2
-    a = rng.standard_normal((n, n))
-    h = a + a.T
-    return np.divide(h, 2.0, out=h)
+def _drawer(config):
+    """Return draw(rng), the matrix of one rep to diagonalize.
 
-
-def _gue_matrix(rng, n):
-    # diagonal variance 1/2, off-diagonal real/imag parts 1/4 each
-    g = rng.standard_normal((n, n))
-    k = rng.standard_normal((n, n))
-    return (g + g.T) / (2.0 * math.sqrt(2.0)) \
-        + 1j * (k - k.T) / (2.0 * math.sqrt(2.0))
-
-
-def _wishart_gram(rng, rows, cols):
+    Every call refills the arrays allocated here and returns one of
+    them, so a drawer serves one job in one thread.
+    """
+    kind = config.ensemble
+    n = 2 * config.size + 1 if kind == "gse" else config.size
+    a = np.empty((config.rows, config.cols) if kind == "wishart" else (n, n))
     # X^t X and X X^t share their nonzero spectrum: take the smaller
-    x = rng.standard_normal((rows, cols))
-    return x @ x.T if cols > rows else x.T @ x
+    left, right = (a, a.T) if config.cols > config.rows else (a.T, a)
+    h = np.empty((len(left), len(left)))
+    if kind == "gue":
+        k, z, c = np.empty((n, n)), np.empty((n, n), complex), math.sqrt(8.0)
+
+    def draw(rng):
+        rng.standard_normal(out=a)
+        if kind == "wishart":
+            return np.matmul(left, right, out=h)
+        if kind != "gue":
+            # diagonal variance 1, off-diagonal 1/2
+            return np.divide(np.add(a, a.T, out=h), 2.0, out=h)
+        # diagonal variance 1/2, off-diagonal real/imag parts 1/4 each:
+        # (g + g^t)/c + 1j (k - k^t)/c, in this order for the same bits
+        rng.standard_normal(out=k)
+        np.divide(np.multiply(1j, np.subtract(k, k.T, out=h), out=z), c,
+                  out=z)
+        return np.add(np.divide(np.add(a, a.T, out=h), c, out=h), z, out=z)
+    return draw
 
 
 def _eigvalsh(m, rep_index):
@@ -144,28 +155,28 @@ def johnstone_center(n, p):
 def sample_spectrum(config, rep_index):
     """Draw one matrix and return its top_k eigenvalues, raw and rescaled.
 
-    Deterministic in (config.seed, rep_index).  The symplectic ensemble
-    of quaternion dimension N is drawn as the orthogonal ensemble of
-    dimension 2N+1: its 2nd, 4th, ... largest eigenvalues have the
-    joint law of the symplectic spectrum (Forrester and Rains, 2001),
-    and its rescaling uses 2N+1.  The Wishart matrix is X^t X for X an
-    n x p standard-normal matrix (n = rows, p = cols), rescaled as
-    (l - mu_np) / sigma_np by `johnstone_center`.
+    Deterministic in (config.seed, rep_index) for one numpy/BLAS build
+    and BLAS thread count; the eigensolver's and the Gram product's bits
+    depend on both.  The symplectic ensemble of quaternion dimension N
+    is drawn as the orthogonal ensemble of dimension 2N+1: its 2nd,
+    4th, ... largest eigenvalues have the joint law of the symplectic
+    spectrum (Forrester and Rains, 2001), and its rescaling uses 2N+1.
+    The Wishart matrix is X^t X for X an n x p standard-normal matrix
+    (n = rows, p = cols), rescaled as (l - mu_np) / sigma_np by
+    `johnstone_center`.
     """
     _check_key("rep_index", rep_index)
     if rep_index >= config.reps:
         raise ValueError(f"rep_index must be < reps, got {rep_index}")
-    rng = _rng(config.seed, rep_index)
-    kind, n, step = config.ensemble, config.size, 1
-    if kind == "gse":
-        n, step = 2 * n + 1, 2
-    if kind == "wishart":
-        matrix = _wishart_gram(rng, config.rows, config.cols)
-    else:
-        matrix = (_gue_matrix if kind == "gue" else _goe_matrix)(rng, n)
+    return _sample(config, rep_index, _drawer(config))
+
+
+def _sample(config, rep_index, draw):
+    matrix = draw(_rng(config.seed, rep_index))
+    step = 2 if config.ensemble == "gse" else 1
     raw = _eigvalsh(matrix, rep_index)[-step::-step][:config.top_k]
-    if kind != "wishart":
-        return SpectrumSample(edge_scale(raw, n), raw)
+    if config.ensemble != "wishart":
+        return SpectrumSample(edge_scale(raw, len(matrix)), raw)
     mu, sigma = johnstone_center(config.rows, config.cols)
     return SpectrumSample((raw - mu) / sigma, raw)
 
@@ -176,12 +187,12 @@ def collect(config):
     Returns (samples, failures): samples is an array of shape
     (successful reps, top_k) of scaled eigenvalues in rep order,
     failures the list of SampleError instances, in rep order, for reps
-    that broke.
+    that broke.  Every rep draws into one set of arrays.
     """
-    rows, failures = [], []
+    draw, rows, failures = _drawer(config), [], []
     for i in range(config.reps):
         try:
-            rows.append(sample_spectrum(config, i).scaled_top)
+            rows.append(_sample(config, i, draw).scaled_top)
         except SampleError as exc:
             failures.append(exc)
     samples = np.array(rows) if rows else np.empty((0, config.top_k))

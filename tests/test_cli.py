@@ -117,6 +117,22 @@ class TestArgumentErrors:
             err = capsys.readouterr().err
             assert "(0, 1)" in err and "Traceback" not in err
 
+    def test_one_rep_refused(self, capsys, monkeypatch):
+        # the sample statistics need two reps: refused before any solve
+        # or sampling, not after every rep was drawn
+        def collect(cfg):
+            raise AssertionError("sampled before --reps was checked")
+        monkeypatch.setattr(rmt, "collect", collect)
+        monkeypatch.setattr(painleve, "solve", _no_solve)
+        for argv in (["simulate", "--ensemble", "goe", "--n", "5"],
+                     ["wishart", "--rows", "20", "--cols", "10",
+                      "--percentiles", "0.5"]):
+            for reps in ("1", "0"):
+                assert cli.main([*argv, "--reps", reps]) == 2
+                assert capsys.readouterr().err == (
+                    f"error: --reps must be >= 2 for the sample "
+                    f"statistics, got {reps}\n")
+
     def test_top_k_beyond_jet_order(self, capsys, monkeypatch):
         # a percentile report the jets cannot serve is refused before
         # sampling; without --percentiles the same top k is sampled

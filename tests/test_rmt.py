@@ -83,16 +83,35 @@ class TestEdgeScale:
             rmt.edge_scale(1.0, 0)
 
 
+def _matrix(kind, n, rng):
+    # one draw of an n x n Gaussian ensemble matrix from rng
+    return rmt._drawer(EnsembleConfig(ensemble=kind, size=n))(rng)
+
+
+def _reference_matrix(cfg, rng):
+    # the draw as plain formulas, each operation allocating its result
+    if cfg.ensemble == "wishart":
+        x = rng.standard_normal((cfg.rows, cfg.cols))
+        return x @ x.T if cfg.cols > cfg.rows else x.T @ x
+    n = 2 * cfg.size + 1 if cfg.ensemble == "gse" else cfg.size
+    g = rng.standard_normal((n, n))
+    if cfg.ensemble != "gue":
+        return (g + g.T) / 2.0
+    k = rng.standard_normal((n, n))
+    c = 2.0 * math.sqrt(2.0)
+    return (g + g.T) / c + 1j * (k - k.T) / c
+
+
 class TestMatrixLaws:
     def test_goe_entry_variances(self):
-        m = rmt._goe_matrix(rmt._rng(3, 0), 500)
+        m = _matrix("goe", 500, rmt._rng(3, 0))
         np.testing.assert_array_equal(m, m.T)
         assert np.var(np.diag(m)) == pytest.approx(1.0, rel=0.2)
         off = m[np.triu_indices(500, k=1)]
         assert np.var(off) == pytest.approx(0.5, rel=0.05)
 
     def test_gue_entry_variances(self):
-        m = rmt._gue_matrix(rmt._rng(4, 0), 500)
+        m = _matrix("gue", 500, rmt._rng(4, 0))
         np.testing.assert_array_equal(m, m.conj().T)
         d = np.diag(m)
         assert np.all(d.imag == 0.0)
@@ -102,7 +121,7 @@ class TestMatrixLaws:
         assert np.var(off.imag) == pytest.approx(0.25, rel=0.05)
 
     def test_trace_identity(self):
-        m = rmt._goe_matrix(rmt._rng(6, 0), 200)
+        m = _matrix("goe", 200, rmt._rng(6, 0))
         vals = np.linalg.eigvalsh(m)
         assert abs(vals.sum() - np.trace(m)) <= 1e-8 * 200
 
@@ -192,8 +211,8 @@ class TestSampling:
                              top_k=top_k)
         for i in range(cfg.reps):
             out = rmt.sample_spectrum(cfg, i)
-            vals = np.linalg.eigvalsh(rmt._goe_matrix(rmt._rng(31, i),
-                                                      2 * n + 1))
+            vals = np.linalg.eigvalsh(_matrix("goe", 2 * n + 1,
+                                              rmt._rng(31, i)))
             want = vals[::-1][1::2][:top_k]
             assert out.raw_top.tobytes() == want.tobytes()
             assert out.scaled_top.tobytes() == \
@@ -216,6 +235,38 @@ class TestSampling:
         kept = [rmt.sample_spectrum(cfg, i).scaled_top
                 for i in (0, 1, 3, 4, 6, 7)]
         np.testing.assert_array_equal(samples, np.array(kept))
+
+    @pytest.mark.parametrize("cfg", [
+        EnsembleConfig(ensemble="goe", size=9, reps=5, seed=12, top_k=2),
+        EnsembleConfig(ensemble="gue", size=7, reps=5, seed=12, top_k=2),
+        EnsembleConfig(ensemble="gse", size=6, reps=5, seed=12, top_k=2),
+        EnsembleConfig(ensemble="wishart", rows=8, cols=5, reps=5, seed=12,
+                       top_k=2),
+        EnsembleConfig(ensemble="wishart", rows=5, cols=8, reps=5, seed=12,
+                       top_k=2),
+    ], ids=lambda cfg: f"{cfg.ensemble}{cfg.rows}x{cfg.cols}")
+    def test_reused_draw_matches_formulas(self, cfg, monkeypatch):
+        # every rep of a job draws into the same arrays; each matrix has
+        # the bits of the allocating formulas, also after a rep whose
+        # eigensolve failed, so nothing carries over from rep to rep
+        seen = {}
+        eigvalsh = rmt._eigvalsh
+
+        def spy(m, rep_index):
+            seen[rep_index] = m.copy()
+            if rep_index == 2:
+                raise rmt.SampleError("injected", rep_index)
+            return eigvalsh(m, rep_index)
+
+        monkeypatch.setattr(rmt, "_eigvalsh", spy)
+        samples, failures = rmt.collect(cfg)
+        assert [exc.rep_index for exc in failures] == [2]
+        for i in range(cfg.reps):
+            want = _reference_matrix(cfg, rmt._rng(cfg.seed, i))
+            assert seen[i].dtype == want.dtype
+            assert seen[i].tobytes() == want.tobytes()
+        kept = [rmt.sample_spectrum(cfg, i).scaled_top for i in (0, 1, 3, 4)]
+        assert samples.tobytes() == np.array(kept).tobytes()
 
     def test_every_rep_failed(self, monkeypatch):
         def broken(m, rep_index):
@@ -270,7 +321,7 @@ def _quaternion_gse_top(rng, n):
     # eigenvalue doubled; diagonal variance 1/2, each of the four
     # quaternion components 1/4.  Returns the n distinct eigenvalues,
     # largest first
-    a = rmt._gue_matrix(rng, n)
+    a = _matrix("gue", n, rng)
     p = rng.standard_normal((n, n))
     r = rng.standard_normal((n, n))
     b = ((p - p.T) + 1j * (r - r.T)) / (2.0 * math.sqrt(2.0))

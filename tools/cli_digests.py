@@ -1,4 +1,4 @@
-"""SHA-256 digests of the CLI's output on a fixed set of 83 commands.
+"""SHA-256 digests of the CLI's output on a fixed set of 84 commands.
 
 Each command runs as a fresh ``python -m edgedist.cli`` process from
 the ``src/`` of the checkout that holds this script, and prints one
@@ -23,9 +23,10 @@ beta 1, 2, 4 and m = 1, 2, 3, 1..4, a wide grid per beta,
 beta 4, m = 3) and a point left of -10 (-11 at beta 2); ``moments``
 per beta at m = 1, 1..2, 1..4 and as JSON; the four ``verify`` checks
 as CSV and JSON; ``simulate`` (GOE, GUE, GSE) and ``wishart`` with
-``--percentiles``; ``percentiles`` at 0.5, 0.9, 0 and 1; twelve usage
-errors, which exit 2, among them an ``--s-step`` that does not divide
-the range, a point left of -32, where the solve would fail (``table
+``--percentiles``; ``percentiles`` at 0.5, 0.9, 0 and 1; thirteen usage
+errors, which exit 2, among them a single rep (``simulate --reps 1``),
+an ``--s-step`` that does not divide the range, a point left of -32,
+where the solve would fail (``table
 --beta 2 --s -40``), the same bound in the Tracy-Widom units (``table
 --beta 4 --tw-convention --s -23``) and a point right of 60, where the
 Airy tails end (``table --beta 2 --s 61``). The last two ask for
@@ -84,6 +85,7 @@ def commands():
              "table --beta 4 --tw-convention --s -23",
              "table --beta 2 --s 61",
              "moments --beta 2 --m 0",
+             "simulate --ensemble goe --n 5 --reps 1",
              "simulate --ensemble goe --n 50 --reps 20 --percentiles nan",
              "simulate --ensemble gse --n 20 --reps 20 --seed 7 --top-k 4 "
              "--percentiles 0.5",

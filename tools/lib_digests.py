@@ -62,7 +62,9 @@ job classes of the benchmark (GOE 400, GUE 200, GSE 100, Wishart
 100 x 400 and 100 x 100; 8 reps) at top_k 1 and 4 and seeds 1-3, each
 labelled with its shape and the indices of its failed reps, and per job
 class the unscaled top eigenvalues of ``rmt.sample_spectrum`` for the
-8 reps at top_k 4 and seed 3.
+8 reps at top_k 4 and seed 3, and those of ``sample_spectrum`` for the
+last rep drawn alone, so that a job's reused draw and the one-shot draw
+of a single rep are both pinned.
 """
 
 import dataclasses
@@ -219,6 +221,9 @@ def main(argv):
         raw = [rmt.sample_spectrum(cfg, i).raw_top for i in range(cfg.reps)]
         line(f"raw_top {ens} size={cfg.size} rows={rows} top_k={cfg.top_k} "
              f"seed={cfg.seed} reps={cfg.reps}", np.array(raw))
+        one = rmt.sample_spectrum(cfg, cfg.reps - 1).raw_top
+        line(f"raw_top {ens} size={cfg.size} rows={rows} top_k={cfg.top_k} "
+             f"seed={cfg.seed} rep={cfg.reps - 1} alone", one)
 
 
 if __name__ == "__main__":
