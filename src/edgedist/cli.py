@@ -30,8 +30,8 @@ _MOMENT_GRID = np.linspace(-13.0, 12.0, 2001)
 _TABLE_GRID = (-13.0, 6.0, 0.01)
 # the furthest left a grid may start: solves from -34 on fail in the sweep
 _MIN_S = -32.0
-# the largest m served per beta: F_4(s, 4) from the solve's jets has a
-# negative density and falls below F_4(s, 3) (ROADMAP item 2)
+# the largest m served per beta: nothing checks m = 5, and F_4(s, 4)
+# from the jets has f < 0 and falls below F_4(s, 3) (ROADMAP item 2)
 _MAX_M = {1: 4, 2: 4, 4: 3}
 # largest table grid: a mistyped --s-step (1e-8, say) is refused before
 # it exhausts memory; 190,001 points at m = 1..4 peak at about 360 MB
@@ -109,23 +109,26 @@ def _csv(columns, rows):
 
 
 def _tables(beta, ms, grid):
-    """F_beta(s, m) on ``grid`` for each m, from the one served solve:
-    ``SolverConfig()``, its x_left moved to grid[0] if that lies further
-    left.  ValueError before the solve for an m above the jet order,
-    then one above ``_MAX_M[beta]``."""
-    default = painleve.SolverConfig.x_left
-    cfg = painleve.SolverConfig(x_left=min(default, float(grid[0])))
-    m_max = max(ms)
-    if m_max > cfg.jet_order:
-        raise ValueError(f"m = {m_max} exceeds the solver jet order "
-                         f"{cfg.jet_order}")
-    if m_max > _MAX_M[beta]:
-        raise ValueError(f"beta = {beta}, m = {m_max} is not served: the "
-                         f"solve's F_{beta}(s, {m_max}) has a negative "
-                         f"density and falls below F_{beta}(s, {m_max - 1})")
-    sol = painleve.solve(cfg)
-    return [dist.cdf(dist.DistRequest(beta=beta, m=m, s_grid=grid), sol)
-            for m in ms]
+    """F_beta(s, m) on ``grid`` for each m: points left of -13.5 read
+    the far solve, from ``_MIN_S``, the others ``painleve.solve()``.
+    ValueError before either solve for an m above ``_MAX_M[beta]``."""
+    if max(ms) > _MAX_M[beta]:
+        raise ValueError(f"beta = {beta}, m = {max(ms)} is not served: the "
+                         f"largest m served at beta = {beta} is "
+                         f"{_MAX_M[beta]}")
+    far = grid < painleve.SolverConfig.x_left
+    # the far points lead the ascending grid, and dist.cdf is pointwise
+    parts = [(grid[i], painleve.solve(cfg)) for i, cfg in
+             ((far, painleve.SolverConfig(x_left=_MIN_S)), (~far, None))
+             if i.any()]
+    tables = []
+    for m in ms:
+        ts = [dist.cdf(dist.DistRequest(beta=beta, m=m, s_grid=s), sol)
+              for s, sol in parts]
+        tables.append(dist.DistTable(grid, np.concatenate([t.F for t in ts]),
+                                     np.concatenate([t.f for t in ts]),
+                                     beta, m))
+    return tables
 
 
 def _grid(lo, hi, step):
@@ -211,12 +214,20 @@ def _ensemble_config(args):
     if args.reps < 2:
         raise ValueError(f"--reps must be >= 2 for the sample statistics, "
                          f"got {args.reps}")
+    # a flag of the other kind of ensemble is refused, not ignored
     if args.ensemble == "wishart":
+        if args.n is not None:
+            raise ValueError("--n applies to goe, gue and gse only; wishart "
+                             "takes --rows and --cols")
         if args.rows is None or args.cols is None:
             raise ValueError("wishart needs --rows and --cols")
         return rmt.EnsembleConfig(ensemble="wishart", reps=args.reps,
                                   seed=args.seed, top_k=args.top_k,
                                   rows=args.rows, cols=args.cols)
+    for flag, value in (("--rows", args.rows), ("--cols", args.cols)):
+        if value is not None:
+            raise ValueError(f"{flag} applies to wishart only, not "
+                             f"{args.ensemble}")
     if args.n is None:
         raise ValueError(f"{args.ensemble} needs --n")
     return rmt.EnsembleConfig(ensemble=args.ensemble, size=args.n,

@@ -15,9 +15,8 @@ from edgedist import __version__, cli, dist, painleve, rmt
 D2_AT_M2 = 4.132241425051321e-01
 # the CLI's refusal of F_4(s, 4), whose table from the jets is wrong
 # left of about -6 (ROADMAP item 2)
-REFUSED_4_4 = ("error: beta = 4, m = 4 is not served: the solve's "
-               "F_4(s, 4) has a negative density and falls below "
-               "F_4(s, 3)\n")
+REFUSED_4_4 = ("error: beta = 4, m = 4 is not served: the largest m "
+               "served at beta = 4 is 3\n")
 
 
 def _no_solve(config=None):
@@ -76,11 +75,14 @@ class TestArgumentErrors:
         # refused before any solve, though the library serves m = 5 from
         # a jet-order-4 solve
         monkeypatch.setattr(painleve, "solve", _no_solve)
-        for argv in (["table", "--beta", "1", "--m", "5", "--s", "0"],
-                     ["moments", "--beta", "2", "--m", "1,5"]):
+        for beta, argv in ((1, ["table", "--beta", "1", "--m", "5",
+                                "--s", "0"]),
+                           (2, ["moments", "--beta", "2", "--m", "1,5"])):
             assert cli.main(argv) == 2
-            err = capsys.readouterr().err
-            assert "m = 5 exceeds the solver jet order 4" in err
+            assert capsys.readouterr() == ("", f"error: beta = {beta}, "
+                                           f"m = 5 is not served: the "
+                                           f"largest m served at beta = "
+                                           f"{beta} is 4\n")
 
     def test_missing_input_file(self, capsys, tmp_path):
         assert cli.main(["percentiles", "--input",
@@ -133,6 +135,27 @@ class TestArgumentErrors:
                     f"error: --reps must be >= 2 for the sample "
                     f"statistics, got {reps}\n")
 
+    def test_flags_of_the_other_ensemble_refused(self, capsys,
+                                                  monkeypatch):
+        # --rows and --cols are Wishart's, --n the Gaussian ensembles':
+        # refused before any solve or sampling, not ignored
+        def collect(cfg):
+            raise AssertionError("sampled before the flags were checked")
+        monkeypatch.setattr(rmt, "collect", collect)
+        monkeypatch.setattr(painleve, "solve", _no_solve)
+        for extra, err in (
+                (["--ensemble", "goe", "--n", "20", "--rows", "100",
+                  "--cols", "7"], "--rows applies to wishart only, not goe"),
+                (["--ensemble", "gse", "--n", "20", "--cols", "7"],
+                 "--cols applies to wishart only, not gse"),
+                (["--ensemble", "wishart", "--n", "20", "--rows", "10",
+                  "--cols", "5"], "--n applies to goe, gue and gse only; "
+                 "wishart takes --rows and --cols")):
+            for pct in ([], ["--percentiles", "0.5"]):
+                assert cli.main(["simulate", *extra, "--reps", "3",
+                                 *pct]) == 2
+                assert capsys.readouterr() == ("", f"error: {err}\n")
+
     def test_top_k_beyond_jet_order(self, capsys, monkeypatch):
         # a percentile report the jets cannot serve is refused before
         # sampling; without --percentiles the same top k is sampled
@@ -143,8 +166,9 @@ class TestArgumentErrors:
                     ["wishart", "--rows", "100", "--cols", "400"]):
             argv = [*cmd, "--reps", "200", "--top-k", "5"]
             assert cli.main([*argv, "--percentiles", "0.5"]) == 2
-            err = capsys.readouterr().err
-            assert "m = 5 exceeds the solver jet order 4" in err
+            assert capsys.readouterr() == ("", "error: beta = 1, m = 5 is "
+                                           "not served: the largest m "
+                                           "served at beta = 1 is 4\n")
             with pytest.raises(AssertionError, match="sampled"):
                 cli.main(argv)
 
@@ -347,15 +371,15 @@ def test_served_pairs_are_the_sound_ones(sol_default):
     (["verify", "--check", "asymptotics"], -13.5, 4),
     (["verify", "--check", "interlacing"], -13.5, 4),
     (["table", "--beta", "2", "--m", "1,2", "--s-min", "-18", "--s-max",
-      "9.5", "--s-step", "0.05"], -18.0, 4),
+      "9.5", "--s-step", "0.05"], -32.0, 4),
     (["simulate", "--ensemble", "gue", "--n", "10", "--reps", "5",
       "--percentiles", "0.5"], -13.5, 4),
 ])
 def test_solve_follows_the_request(capsys, monkeypatch, argv, x_left,
                                    jet_order):
     # every served request reads the one solve, SolverConfig(): x_left =
-    # -13.5, or the grid's left end if that lies further left, at jet
-    # order 4; verify reads it too
+    # -13.5 at jet order 4; verify reads it too.  A grid that reaches
+    # left of -13.5 reads the far solve from -32 for those points first
     configs, solve = [], painleve.solve
 
     def record(config=None):
@@ -364,26 +388,51 @@ def test_solve_follows_the_request(capsys, monkeypatch, argv, x_left,
     monkeypatch.setattr(painleve, "solve", record)
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert [(c.x_left, c.jet_order) for c in configs] == [(x_left,
-                                                           jet_order)]
+    expected = [(x_left, jet_order)]
+    if x_left < -13.5:
+        expected.append((-13.5, jet_order))
+    assert [(c.x_left, c.jet_order) for c in configs] == expected
 
 
 @pytest.mark.parametrize("beta, m, s", [(4, 3, -8.5), (2, 3, -2.5),
-                                        (1, 4, -4.0)])
+                                        (1, 4, -4.0), (2, 4, -12.0),
+                                        (4, 3, -15.0)])
 def test_value_does_not_depend_on_the_request(capsys, beta, m, s):
-    # a point asked alone, the same point as a row of the default table,
-    # and dist.cdf on the library's default solve give the same bits
+    # a point asked alone, the same point as a row of tables from -20
+    # and -32 and of the default table when it holds it, and dist.cdf on
+    # the library's solve of that side of -13.5 give the same bits
     argv = ["table", "--beta", str(beta), "--m", str(m), "--json"]
+    extras = [["--s", str(s)]] + [["--s-min", lo, "--s-max", "6",
+                                   "--s-step", "0.5"]
+                                  for lo in ("-20", "-32")]
+    if s >= cli._TABLE_GRID[0]:
+        extras.append([])
     values = []
-    for extra in (["--s", str(s)], []):
+    for extra in extras:
         assert cli.main(argv + extra) == 0
         block = json.loads(capsys.readouterr().out)["tables"][0]
         row = block["s"].index(s)
         values.append((block["F"][row], block["f"][row]))
+    far = s < painleve.SolverConfig.x_left
+    cfg = painleve.SolverConfig(x_left=-32.0) if far else None
     t = dist.cdf(dist.DistRequest(beta=beta, m=m, s_grid=[s]),
-                 painleve.solve())
+                 painleve.solve(cfg))
     values.append((float(t.F[0]), float(t.f[0])))
-    assert values[0] == values[1] == values[2]
+    assert values[0][0] > 0.0
+    assert values == [values[0]] * len(values)
+
+
+def test_cli_reaches_two_cache_files(capsys, monkeypatch, tmp_path):
+    # the served solve and the far solve from -32: a new far-left start
+    # reads the far solve's file, it does not write one of its own
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    for extra in ([], ["--s", "-15"], ["--s", "-20"],
+                  ["--s-min", "-18", "--s-max", "9.5", "--s-step", "0.05"]):
+        assert cli.main(["table", "--beta", "2", "--m", "1,2", *extra]) == 0
+    capsys.readouterr()
+    files = sorted(p.name.split("-", 1)[1]
+                   for p in (tmp_path / "edgedist").glob("*.npz"))
+    assert files == ["x-13.5-j4.npz", "x-32.0-j4.npz"]
 
 
 def test_verify_solves(capsys, monkeypatch):

@@ -5,14 +5,19 @@ nobody uses.  Callers are the package modules and the demos; a name
 counts as used when an ``ast.Name`` or ``ast.Attribute`` loads it
 outside its own definition.  Docstrings, comments and the re-exports of
 ``__init__`` (import statements and ``__all__`` strings) do not count.
+Every name that ``perfbench/tracing.py`` wraps must exist, too.
 """
 
 import ast
+import importlib.util
 import pathlib
+
+import edgedist
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "edgedist").glob("*.py"))
 CALLERS = PACKAGE + sorted((ROOT / "demos").glob("*.py"))
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _parse(path):
@@ -61,3 +66,18 @@ def test_every_public_name_has_a_caller():
             "painleve.jet_at"} <= found
     assert uncalled == [], "public names with no caller outside the " \
         "tests: " + ", ".join(uncalled)
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer wraps these names and raises AttributeError
+    # on one that is gone; a rename must move its TARGETS entry too
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert {"painleve.jet_at", "specfun.ai_tail"} <= {
+        span for _, _, span in tracing.TARGETS}
+    for mod_name, path, _ in tracing.TARGETS:
+        owner = getattr(edgedist, mod_name)
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (mod_name, path)

@@ -1,4 +1,4 @@
-"""SHA-256 digests of the CLI's output on a fixed set of 84 commands.
+"""SHA-256 digests of the CLI's output on a fixed set of 88 commands.
 
 Each command runs as a fresh ``python -m edgedist.cli`` process from
 the ``src/`` of the checkout that holds this script, and prints one
@@ -18,21 +18,24 @@ where the checkout is.  To compare two checkouts, run a copy of this
 script from the tools/ folder of each and diff the outputs.
 
 The set: ``table`` as a grid, at one point (``--s``) and as JSON for
-beta 1, 2, 4 and m = 1, 2, 3, 1..4, a wide grid per beta,
-``--tw-convention``, a row of the default grid asked alone (-8.5 at
-beta 4, m = 3) and a point left of -10 (-11 at beta 2); ``moments``
-per beta at m = 1, 1..2, 1..4 and as JSON; the four ``verify`` checks
-as CSV and JSON; ``simulate`` (GOE, GUE, GSE) and ``wishart`` with
-``--percentiles``; ``percentiles`` at 0.5, 0.9, 0 and 1; thirteen usage
+beta 1, 2, 4 and m = 1, 2, 3, 1..4, a wide grid per beta from -18,
+whose points left of -13.5 read the far solve, ``--tw-convention``, a
+row of the default grid asked alone (-8.5 at beta 4, m = 3), a point
+left of -10 (-11 at beta 2) and two points left of -13.5 (-15 at
+beta 2, m = 1, 2 and -20 at beta 4, m = 3, as JSON); ``moments`` per
+beta at m = 1, 1..2, 1..4 and as JSON; the four ``verify`` checks as
+CSV and JSON; ``simulate`` (GOE, GUE, GSE) and ``wishart`` with
+``--percentiles``; ``percentiles`` at 0.5, 0.9, 0 and 1; fifteen usage
 errors, which exit 2, among them a single rep (``simulate --reps 1``),
-an ``--s-step`` that does not divide the range, a point left of -32,
-where the solve would fail (``table
---beta 2 --s -40``), the same bound in the Tracy-Widom units (``table
---beta 4 --tw-convention --s -23``) and a point right of 60, where the
-Airy tails end (``table --beta 2 --s 61``). The last two ask for
-F_4(s, 4), which the CLI refuses: a GSE ``--top-k 4`` percentile report
-and ``table --beta 4 --m 4 --s -9``. The ``table`` and ``moments`` commands above
-whose m list holds 4 at beta 4 exit 2 for the same reason.
+Wishart's ``--rows`` and ``--cols`` given to GOE, ``--n`` given to
+Wishart, an ``--s-step`` that does not divide the range, a point left
+of -32, where the solve would fail (``table --beta 2 --s -40``), the
+same bound in the Tracy-Widom units (``table --beta 4 --tw-convention
+--s -23``) and a point right of 60, where the Airy tails end (``table
+--beta 2 --s 61``).  The last two ask for F_4(s, 4), which the CLI
+refuses: a GSE ``--top-k 4`` percentile report and ``table --beta 4
+--m 4 --s -9``.  The ``table`` and ``moments`` commands above whose m
+list holds 4 at beta 4 exit 2 for the same reason.
 """
 
 import hashlib
@@ -61,7 +64,9 @@ def commands():
     cmds += ["table --beta 4 --m 1,2 --tw-convention",
              "table --beta 4 --s -2.306885 --tw-convention",
              "table --beta 4 --m 3 --s -8.5",
-             "table --beta 2 --s -11"]
+             "table --beta 2 --s -11",
+             "table --beta 2 --m 1,2 --s -15",
+             "table --beta 4 --m 3 --s -20 --json"]
     for beta in (1, 2, 4):
         cmds += [f"moments --beta {beta} --m {m}"
                  for m in ("1", "1,2", "1,2,3,4")]
@@ -86,6 +91,9 @@ def commands():
              "table --beta 2 --s 61",
              "moments --beta 2 --m 0",
              "simulate --ensemble goe --n 5 --reps 1",
+             "simulate --ensemble goe --n 20 --rows 100 --cols 7 --reps 3",
+             "simulate --ensemble wishart --n 20 --rows 10 --cols 5 "
+             "--reps 3",
              "simulate --ensemble goe --n 50 --reps 20 --percentiles nan",
              "simulate --ensemble gse --n 20 --reps 20 --seed 7 --top-k 4 "
              "--percentiles 0.5",
